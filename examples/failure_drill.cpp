@@ -7,9 +7,11 @@
 //
 //   $ ./failure_drill
 #include <cstdio>
+#include <cstdlib>
 
 #include "core/dsp_system.h"
 #include "metrics/report.h"
+#include "obs/events.h"
 #include "sim/failures.h"
 #include "sim/recorder.h"
 #include "trace/workload.h"
@@ -44,10 +46,13 @@ int main() {
   params.period = 30 * kSecond;
   params.epoch = 5 * kSecond;
 
-  TimelineRecorder recorder;
+  // The timeline printed below is folded from this in-memory log;
+  // DSP_EVENT_LOG still streams the run, as it does for every example.
+  obs::EventLog log;
+  if (const char* path = std::getenv("DSP_EVENT_LOG")) log.open_sink(path);
   Engine engine(cluster, std::move(jobs), dsp.scheduler(), &dsp.preemption(),
                 params);
-  engine.set_observer(&recorder);
+  engine.set_event_log(&log);
 
   // Workflow: ETL jobs feed training; training feeds the report.
   engine.add_job_dependency(0, 2);
@@ -63,6 +68,12 @@ int main() {
   engine.set_failure_plan(plan);
 
   const RunMetrics m = engine.run();
+  const TimelineFoldResult fold = TimelineRecorder::from_events(log.snapshot());
+  if (!fold.ok()) {
+    std::fprintf(stderr, "failure_drill: %s\n", fold.error.c_str());
+    return 1;
+  }
+  const TimelineRecorder& recorder = fold.timeline;
 
   std::printf("4-job workflow (ETL x2 -> train -> report) on 10 EC2 nodes,\n"
               "2 node outages + 1 straggler injected\n\n");

@@ -5,9 +5,9 @@
 // examined, the raw priorities, the normalized gap P-tilde = P-hat/P-bar
 // the PP filter tested, the rho/epsilon/tau/delta in effect, and how the
 // evaluation ended. The engine forwards records to an attached
-// PreemptionAuditTrail (Engine::set_audit) and to the observer hook
-// SimObserver::on_preempt_decision, and tallies per-outcome counters into
-// RunMetrics — this is how throughput changes are attributed to specific
+// PreemptionAuditTrail (Engine::set_audit), emits each one as a
+// kPreemptDecision flight-recorder event, and tallies per-outcome counters
+// into RunMetrics — this is how throughput changes are attributed to specific
 // preemption mechanisms (urgent preemption, the delta window, PP
 // suppression, C2 dependency blocking).
 #pragma once

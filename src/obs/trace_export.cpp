@@ -12,24 +12,6 @@
 namespace dsp::obs {
 namespace {
 
-const char* kind_category(IntervalKind k) {
-  switch (k) {
-    case IntervalKind::kOverhead: return "overhead";
-    case IntervalKind::kRun: return "run";
-    case IntervalKind::kHoard: return "hoard";
-  }
-  return "?";
-}
-
-const char* outcome_name(Interval::End e) {
-  switch (e) {
-    case Interval::End::kFinished: return "finished";
-    case Interval::End::kPreempted: return "preempted";
-    case Interval::End::kEvicted: return "evicted";
-  }
-  return "?";
-}
-
 void write_instant(std::ostream& out, bool& first, const char* name,
                    SimTime ts, std::size_t pid, const char* args_json) {
   if (!first) out << ",\n";
@@ -86,13 +68,13 @@ void write_chrome_trace(std::ostream& out, const TimelineRecorder& recorder,
     out << "{\"name\":";
     write_json_string(out, "task " + std::to_string(iv.task));
     out << ",\"cat\":";
-    write_json_string(out, kind_category(iv.kind));
+    write_json_string(out, to_string(iv.kind));
     out << ",\"ph\":\"X\",\"ts\":" << iv.begin << ",\"dur\":" << iv.duration()
         << ",\"pid\":" << iv.node << ",\"tid\":" << lane
         << ",\"args\":{\"task\":" << iv.task << ",\"kind\":";
-    write_json_string(out, kind_category(iv.kind));
+    write_json_string(out, to_string(iv.kind));
     out << ",\"outcome\":";
-    write_json_string(out, outcome_name(iv.outcome));
+    write_json_string(out, to_string(iv.outcome));
     out << "}}";
   }
 

@@ -16,6 +16,10 @@ ClusterSpec::ClusterSpec(std::vector<NodeSpec> nodes, double theta1,
 }
 
 std::string ClusterSpec::validate() const {
+  if (nodes_.size() > kMaxNodes)
+    return "ClusterSpec: " + std::to_string(nodes_.size()) +
+           " nodes exceed the limit of " + std::to_string(kMaxNodes) +
+           " (flight-recorder events store node ids as int16)";
   if (theta1_ < 0.0 || theta2_ < 0.0)
     return "ClusterSpec: θ weights must be non-negative (theta1=" +
            std::to_string(theta1_) + ", theta2=" + std::to_string(theta2_) +

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -31,12 +33,18 @@ struct NodeSpec {
 /// A cluster: node list + the g(k) weighting parameters of Eq. (1).
 class ClusterSpec {
  public:
+  /// Largest supported node count. Flight-recorder events store node ids
+  /// as int16 (obs::Event::node), so larger clusters would wrap them.
+  static constexpr std::size_t kMaxNodes =
+      std::numeric_limits<std::int16_t>::max();
+
   ClusterSpec() = default;
-  /// Validates on construction: a malformed spec (zero/negative slot
-  /// counts, non-positive capacities, rates or θ weights that yield
-  /// g(k) <= 0) throws std::invalid_argument naming the offending node
-  /// and field. An invalid cluster would otherwise surface as NaN rates
-  /// or never-dispatched tasks deep inside a run.
+  /// Validates on construction: a malformed spec (more than kMaxNodes
+  /// nodes, zero/negative slot counts, non-positive capacities, rates or
+  /// θ weights that yield g(k) <= 0) throws std::invalid_argument naming
+  /// the offending node and field. An invalid cluster would otherwise
+  /// surface as NaN rates, never-dispatched tasks or wrapped node ids deep
+  /// inside a run.
   ClusterSpec(std::vector<NodeSpec> nodes, double theta1 = 0.5,
               double theta2 = 0.5, double mem_mips_equiv = 100.0);
 

@@ -42,7 +42,6 @@
 #include "sim/cluster_state.h"
 #include "sim/event_calendar.h"
 #include "sim/failures.h"
-#include "sim/observer.h"
 #include "sim/policy.h"
 #include "sim/run_metrics.h"
 #include "sim/task_runtime.h"
@@ -95,11 +94,6 @@ class Engine {
   enum class Lifecycle : std::uint8_t { kIdle, kRunning, kDone };
   Lifecycle lifecycle() const { return lifecycle_; }
 
-  /// Installs an observer receiving every engine state transition
-  /// (timeline recording, invariant checking). Call before run().
-  /// The engine does not own the observer.
-  void set_observer(SimObserver* observer) { observer_ = observer; }
-
   /// Attaches a preemption-decision audit trail: every Algorithm-1
   /// evaluation reported via record_preempt_decision lands in `audit`.
   /// Call before run(). The engine does not own the trail.
@@ -107,7 +101,9 @@ class Engine {
 
   /// Attaches a flight recorder: every engine transition (arrivals,
   /// dispatches, preemptions, node events, epochs, ...) is emitted as an
-  /// obs::Event. Call before run(); the engine does not own the log.
+  /// obs::Event — the engine's only transition channel (timelines are
+  /// TimelineRecorder::from_events folds). Call before run(); the engine
+  /// does not own the log.
   /// When no log is attached, run() builds one from the environment
   /// (DSP_EVENT_LOG et al., see obs/events.h) and owns it for the run.
   void set_event_log(obs::EventLog* log) { events_log_ = log; }
@@ -327,8 +323,9 @@ class Engine {
 
   /// Records one Algorithm-1 candidate evaluation: stamps the current
   /// engine time, tallies the per-outcome RunMetrics counters and the
-  /// observability registry, and forwards the record to the attached
-  /// audit trail and observer. Policies call this once per candidate.
+  /// observability registry, forwards the record to the attached audit
+  /// trail and emits it as a kPreemptDecision event. Policies call this
+  /// once per candidate.
   void record_preempt_decision(obs::PreemptDecision d);
 
   /// Evicts a running task back to its node's waiting queue (checkpoint
@@ -387,7 +384,6 @@ class Engine {
   Scheduler& scheduler_;
   PreemptionPolicy* preempt_;
   EngineParams params_;
-  SimObserver* observer_ = nullptr;
   obs::PreemptionAuditTrail* audit_ = nullptr;
   obs::EventLog* events_log_ = nullptr;
   std::unique_ptr<obs::EventLog> owned_events_;  // from_env() in run()

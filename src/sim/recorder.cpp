@@ -1,10 +1,21 @@
 #include "sim/recorder.h"
 
 #include <algorithm>
-#include <cassert>
+#include <map>
 #include <ostream>
+#include <string>
 
 namespace dsp {
+namespace {
+
+// Payloads are doubles and may come from a parsed file: clamp before the
+// integer conversion, which is undefined out of range (NaN reads as 0).
+std::int64_t whole(double v) {
+  constexpr double kMax = 9007199254740992.0;  // 2^53, exact in a double
+  return v > 0.0 ? static_cast<std::int64_t>(std::min(v, kMax)) : 0;
+}
+
+}  // namespace
 
 const char* to_string(IntervalKind k) {
   switch (k) {
@@ -15,72 +26,95 @@ const char* to_string(IntervalKind k) {
   return "?";
 }
 
-TimelineRecorder::Open& TimelineRecorder::open_slot(Gid g) {
-  if (open_.size() <= g) open_.resize(static_cast<std::size_t>(g) + 1);
-  return open_[g];
-}
-
-void TimelineRecorder::close(Gid g, SimTime t, Interval::End outcome) {
-  Open& o = open_slot(g);
-  if (!o.active) return;
-  o.active = false;
-  if (o.kind == IntervalKind::kHoard) {
-    intervals_.push_back({g, o.node, IntervalKind::kHoard, o.begin, t, outcome});
-    return;
+const char* to_string(Interval::End e) {
+  switch (e) {
+    case Interval::End::kFinished: return "finished";
+    case Interval::End::kPreempted: return "preempted";
+    case Interval::End::kEvicted: return "evicted";
   }
-  // Split the occupation into its overhead prefix and productive suffix.
-  const SimTime overhead_end = std::min(t, o.begin + o.overhead);
-  if (overhead_end > o.begin)
-    intervals_.push_back(
-        {g, o.node, IntervalKind::kOverhead, o.begin, overhead_end, outcome});
-  if (t > overhead_end)
-    intervals_.push_back(
-        {g, o.node, IntervalKind::kRun, overhead_end, t, outcome});
+  return "?";
 }
 
-void TimelineRecorder::on_task_start(SimTime t, Gid g, int node,
-                                     SimTime overhead) {
-  Open& o = open_slot(g);
-  // A hoarding task that activates transitions hoard -> run; close the
-  // hoard interval first.
-  if (o.active) close(g, t, Interval::End::kFinished);
-  o = {node, IntervalKind::kRun, t, overhead, true};
-}
+TimelineFoldResult TimelineRecorder::from_events(
+    std::span<const obs::Event> events) {
+  TimelineFoldResult fold;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].seq != i) {
+      fold.error = "event log does not hold a whole run: expected seq " +
+                   std::to_string(i) + ", found seq " +
+                   std::to_string(events[i].seq);
+      return fold;
+    }
+  }
 
-void TimelineRecorder::on_task_finish(SimTime t, Gid g, int node) {
-  (void)node;
-  close(g, t, Interval::End::kFinished);
-  finish_times_.emplace_back(t, g);
-}
+  // The slot each task currently occupies. A map, not a gid-indexed
+  // vector: a hostile log's task ids must not size an allocation.
+  struct Open {
+    int node = -1;
+    IntervalKind kind = IntervalKind::kRun;
+    SimTime begin = 0;
+    SimTime overhead = 0;
+    bool active = false;
+  };
+  std::map<Gid, Open> open;
+  TimelineRecorder& r = fold.timeline;
+  const auto close = [&r](Gid g, Open& o, SimTime t, Interval::End outcome) {
+    if (!o.active) return;
+    o.active = false;
+    if (o.kind == IntervalKind::kHoard) {
+      r.intervals_.push_back(
+          {g, o.node, IntervalKind::kHoard, o.begin, t, outcome});
+      return;
+    }
+    // Split the occupation into its overhead prefix and productive suffix.
+    const SimTime overhead_end = std::min(t, o.begin + o.overhead);
+    if (overhead_end > o.begin)
+      r.intervals_.push_back(
+          {g, o.node, IntervalKind::kOverhead, o.begin, overhead_end, outcome});
+    if (t > overhead_end)
+      r.intervals_.push_back(
+          {g, o.node, IntervalKind::kRun, overhead_end, t, outcome});
+  };
 
-void TimelineRecorder::on_task_suspend(SimTime t, Gid g, int node,
-                                       bool kept_progress) {
-  (void)node;
-  (void)kept_progress;
-  close(g, t, Interval::End::kPreempted);
+  for (const obs::Event& e : events) {
+    switch (e.kind) {
+      case obs::EventKind::kTaskDispatch: {
+        Open& o = open[e.task];
+        // A hoarded slot going live (kEventFlagHoardActivate) closes its
+        // hoard interval first.
+        close(e.task, o, e.time, Interval::End::kFinished);
+        o = {e.node, IntervalKind::kRun, e.time, whole(e.a), true};
+        break;
+      }
+      case obs::EventKind::kTaskFinish:
+        close(e.task, open[e.task], e.time, Interval::End::kFinished);
+        r.finish_times_.emplace_back(e.time, e.task);
+        break;
+      case obs::EventKind::kTaskPreempt:
+        close(e.task, open[e.task], e.time, Interval::End::kPreempted);
+        break;
+      case obs::EventKind::kHoardStart:
+        open[e.task] = {e.node, IntervalKind::kHoard, e.time, 0, true};
+        break;
+      case obs::EventKind::kHoardEvict:
+        close(e.task, open[e.task], e.time, Interval::End::kEvicted);
+        break;
+      case obs::EventKind::kJobComplete:
+        r.job_completions_.emplace_back(e.time, e.job);
+        break;
+      case obs::EventKind::kScheduleRound:
+        r.rounds_.push_back({e.time, static_cast<std::size_t>(whole(e.a)),
+                             static_cast<std::size_t>(whole(e.b))});
+        break;
+      case obs::EventKind::kEpoch:
+        r.epochs_.push_back(e.time);
+        break;
+      default:
+        break;
+    }
+  }
+  return fold;
 }
-
-void TimelineRecorder::on_hoard_start(SimTime t, Gid g, int node) {
-  Open& o = open_slot(g);
-  assert(!o.active);
-  o = {node, IntervalKind::kHoard, t, 0, true};
-}
-
-void TimelineRecorder::on_hoard_evict(SimTime t, Gid g, int node) {
-  (void)node;
-  close(g, t, Interval::End::kEvicted);
-}
-
-void TimelineRecorder::on_job_complete(SimTime t, JobId j) {
-  job_completions_.emplace_back(t, j);
-}
-
-void TimelineRecorder::on_schedule_round(SimTime t, std::size_t jobs,
-                                         std::size_t placements) {
-  rounds_.push_back({t, jobs, placements});
-}
-
-void TimelineRecorder::on_epoch(SimTime t) { epochs_.push_back(t); }
 
 std::vector<Interval> TimelineRecorder::intervals_for_task(Gid g) const {
   std::vector<Interval> result;
@@ -169,14 +203,9 @@ std::string TimelineRecorder::render_gantt(std::size_t node_count,
 
 void TimelineRecorder::write_csv(std::ostream& out) const {
   out << "task,node,kind,begin_us,end_us,outcome\n";
-  for (const auto& iv : intervals_) {
-    const char* outcome = iv.outcome == Interval::End::kFinished ? "finished"
-                          : iv.outcome == Interval::End::kPreempted
-                              ? "preempted"
-                              : "evicted";
+  for (const auto& iv : intervals_)
     out << iv.task << ',' << iv.node << ',' << to_string(iv.kind) << ','
-        << iv.begin << ',' << iv.end << ',' << outcome << '\n';
-  }
+        << iv.begin << ',' << iv.end << ',' << to_string(iv.outcome) << '\n';
 }
 
 }  // namespace dsp

@@ -1,18 +1,23 @@
-// Timeline recording: builds a Gantt-style execution trace from engine
-// observer hooks.
+// Timeline recording: folds a run's flight-recorder events (an EventLog
+// snapshot or a JSONL log) into a Gantt-style execution trace.
 //
 // Every slot occupation becomes an interval {task, node, kind, begin, end}:
 // productive execution, dispatch overhead (context switch / checkpoint
-// recovery), or slot hoarding. The recorder powers the run-invariant
-// checker (invariants.h), per-node utilization reports, and CSV export for
-// external plotting.
+// recovery), or slot hoarding. The timeline powers the run-invariant
+// checker (invariants.h), the Chrome trace exporter, per-node utilization
+// reports, and CSV export for external plotting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "sim/observer.h"
+#include "dag/task.h"
+#include "obs/events.h"
 #include "sim/types.h"
 #include "util/time.h"
 
@@ -41,24 +46,30 @@ struct Interval {
   SimTime duration() const { return end - begin; }
 };
 
-/// Records the full execution timeline of one simulation run.
+const char* to_string(Interval::End e);
+
+struct TimelineFoldResult;
+
+/// The full execution timeline of one simulation run.
 ///
 /// Usage:
-///   TimelineRecorder recorder;
-///   engine.set_observer(&recorder);
+///   obs::EventLog log;
+///   engine.set_event_log(&log);
 ///   engine.run();
-///   auto problems = check_run_invariants(recorder, ...);
-class TimelineRecorder : public SimObserver {
+///   const auto fold = TimelineRecorder::from_events(log.snapshot());
+///   auto problems = check_run_invariants(fold.timeline, ...);
+class TimelineRecorder {
  public:
-  void on_task_start(SimTime t, Gid g, int node, SimTime overhead) override;
-  void on_task_finish(SimTime t, Gid g, int node) override;
-  void on_task_suspend(SimTime t, Gid g, int node, bool kept_progress) override;
-  void on_hoard_start(SimTime t, Gid g, int node) override;
-  void on_hoard_evict(SimTime t, Gid g, int node) override;
-  void on_job_complete(SimTime t, JobId j) override;
-  void on_schedule_round(SimTime t, std::size_t jobs,
-                         std::size_t placements) override;
-  void on_epoch(SimTime t) override;
+  /// Folds a run's events, oldest first, into its timeline. Reads
+  /// kTaskDispatch (overhead in payload a), kTaskFinish, kTaskPreempt,
+  /// kHoardStart, kHoardEvict, kJobComplete, kScheduleRound and kEpoch;
+  /// other kinds are skipped. The events must hold the whole run: the
+  /// result carries an error, naming the first missing seq, when they do
+  /// not start at seq 0 or skip one (a wrapped ring, a file missing its
+  /// head). Per-kind sampling (DSP_EVENT_SAMPLE) and a file cut after a
+  /// whole line leave no seq gap, so this check cannot see them: fold only
+  /// unsampled, complete logs.
+  static TimelineFoldResult from_events(std::span<const obs::Event> events);
 
   /// All closed intervals, in completion order.
   const std::vector<Interval>& intervals() const { return intervals_; }
@@ -75,19 +86,19 @@ class TimelineRecorder : public SimObserver {
   /// First productive start of task `g`, or kNoTime.
   SimTime first_run_start(Gid g) const;
 
-  /// Job completion times recorded via on_job_complete.
+  /// Job completion times, in completion order.
   const std::vector<std::pair<SimTime, JobId>>& job_completions() const {
     return job_completions_;
   }
 
-  /// One offline scheduling round as observed via on_schedule_round.
+  /// One offline scheduling round (a kScheduleRound event).
   struct ScheduleRound {
     SimTime time = 0;
     std::size_t jobs = 0;
     std::size_t placements = 0;
   };
 
-  /// Number of scheduling rounds observed.
+  /// Number of scheduling rounds recorded.
   std::size_t schedule_rounds() const { return rounds_.size(); }
 
   /// Every scheduling round, in time order (the Chrome trace exporter
@@ -109,22 +120,19 @@ class TimelineRecorder : public SimObserver {
   std::string render_gantt(std::size_t node_count, std::size_t width = 72) const;
 
  private:
-  struct Open {
-    int node = -1;
-    IntervalKind kind = IntervalKind::kRun;
-    SimTime begin = 0;
-    SimTime overhead = 0;
-    bool active = false;
-  };
-  void close(Gid g, SimTime t, Interval::End outcome);
-  Open& open_slot(Gid g);
-
-  std::vector<Open> open_;  // indexed by gid, grown on demand
   std::vector<Interval> intervals_;
   std::vector<std::pair<SimTime, Gid>> finish_times_;
   std::vector<std::pair<SimTime, JobId>> job_completions_;
   std::vector<ScheduleRound> rounds_;
   std::vector<SimTime> epochs_;
+};
+
+/// Result of TimelineRecorder::from_events.
+struct TimelineFoldResult {
+  TimelineRecorder timeline;  ///< Empty when `error` is set.
+  std::string error;  ///< Empty on success.
+
+  bool ok() const { return error.empty(); }
 };
 
 }  // namespace dsp

@@ -1,5 +1,5 @@
 // Mutation tests for the dynamic run-invariant checker (sim/invariants.h):
-// forge a known-good execution timeline through the observer hooks, then
+// forge a known-good run as flight-recorder events and fold it, then
 // corrupt it six ways — one per checker rule — and assert that
 // check_run_invariants reports each specific violation. This guards the
 // checker itself: a checker that stops detecting a class of corruption
@@ -11,6 +11,7 @@
 
 #include "sim/invariants.h"
 #include "sim/recorder.h"
+#include "test_util.h"
 
 namespace dsp {
 namespace {
@@ -46,21 +47,22 @@ JobSet standard_workload() {
 /// The sound baseline timeline every mutation perturbs: tasks 0 and 2 on
 /// node 0 with task 3 on node 1 for the first second, then the chain's
 /// second task on node 0.
-void emit_base(TimelineRecorder& r) {
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+void emit_base(testing::EventForge& r) {
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 1);
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.finish(kTaskTime, 3, 1);
+  r.job_complete(kTaskTime, 1);
+  r.dispatch(kTaskTime, 1, 0);
+  r.finish(2 * kTaskTime, 1, 0);
+  r.job_complete(2 * kTaskTime, 0);
 }
 
-std::vector<std::string> check(const TimelineRecorder& r, const JobSet& jobs) {
-  return check_run_invariants(r, jobs, two_node_cluster());
+std::vector<std::string> check(const testing::EventForge& r,
+                               const JobSet& jobs) {
+  return check_run_invariants(r.fold(), jobs, two_node_cluster());
 }
 
 bool mentions(const std::vector<std::string>& problems,
@@ -72,7 +74,7 @@ bool mentions(const std::vector<std::string>& problems,
 
 TEST(CheckerMutationTest, BaselineTimelineIsSound) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
+  testing::EventForge r;
   emit_base(r);
   const auto problems = check(r, jobs);
   EXPECT_TRUE(problems.empty())
@@ -83,17 +85,17 @@ TEST(CheckerMutationTest, BaselineTimelineIsSound) {
 // 1.5 cpu / 1.5 GB total, within capacity, so only the slot rule fires.
 TEST(CheckerMutationTest, SlotOvercommitIsDetected) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 0, 0);  // mutated: node 1 -> node 0
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 0);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 0);  // mutated: node 1 -> node 0
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.finish(kTaskTime, 3, 0);
+  r.job_complete(kTaskTime, 1);
+  r.dispatch(kTaskTime, 1, 0);
+  r.finish(2 * kTaskTime, 1, 0);
+  r.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "exceed 2 slots")) << problems.front();
@@ -104,12 +106,12 @@ TEST(CheckerMutationTest, SlotOvercommitIsDetected) {
 TEST(CheckerMutationTest, ResourceOvercommitIsDetected) {
   JobSet jobs;
   jobs.push_back(make_job(0, 2, 1.5, false));
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 1, 0, 0);  // mutated: co-located despite the memory sum
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 1, 0);
-  r.on_job_complete(kTaskTime, 0);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 1, 0);  // mutated: co-located despite the memory sum
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 1, 0);
+  r.job_complete(kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "resource overcommit")) << problems.front();
@@ -119,17 +121,17 @@ TEST(CheckerMutationTest, ResourceOvercommitIsDetected) {
 // completes.
 TEST(CheckerMutationTest, DependencyViolationIsDetected) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_start(kTaskTime / 2, 1, 1, 0);  // mutated: parent still running
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_finish(3 * kTaskTime / 2, 1, 1);
-  r.on_job_complete(3 * kTaskTime / 2, 0);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 1);
+  r.dispatch(kTaskTime / 2, 1, 1);  // mutated: parent still running
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.finish(kTaskTime, 3, 1);
+  r.job_complete(kTaskTime, 1);
+  r.finish(3 * kTaskTime / 2, 1, 1);
+  r.job_complete(3 * kTaskTime / 2, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "before parent")) << problems.front();
@@ -140,19 +142,19 @@ TEST(CheckerMutationTest, DependencyViolationIsDetected) {
 // conservation rule stays quiet — only the serialization rule may fire.
 TEST(CheckerMutationTest, DoubleOccupancyIsDetected) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_suspend(7 * kTaskTime / 10, 3, 1, true);
-  r.on_task_start(4 * kTaskTime / 10, 3, 1, 0);  // mutated: overlaps above
-  r.on_task_finish(7 * kTaskTime / 10, 3, 1);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_job_complete(kTaskTime, 1);  // job 1's last finish is task 2's
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 1);
+  r.preempt(7 * kTaskTime / 10, 3, 1);
+  r.dispatch(4 * kTaskTime / 10, 3, 1);  // mutated: overlaps above
+  r.finish(7 * kTaskTime / 10, 3, 1);
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.job_complete(kTaskTime, 1);  // job 1's last finish is task 2's
+  r.dispatch(kTaskTime, 1, 0);
+  r.finish(2 * kTaskTime, 1, 0);
+  r.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "occupies two slots at once"))
@@ -163,17 +165,17 @@ TEST(CheckerMutationTest, DoubleOccupancyIsDetected) {
 // task finish, and a job with no completion record at all.
 TEST(CheckerMutationTest, CompletionRecordCorruptionIsDetected) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(kTaskTime, 3, 1);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 1);
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.finish(kTaskTime, 3, 1);
   // mutated: job 1's completion record dropped entirely
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(3 * kTaskTime, 0);  // mutated: half a run too late
+  r.dispatch(kTaskTime, 1, 0);
+  r.finish(2 * kTaskTime, 1, 0);
+  r.job_complete(3 * kTaskTime, 0);  // mutated: half a run too late
   const auto problems = check(r, jobs);
   EXPECT_TRUE(mentions(problems, "has no completion record"))
       << (problems.empty() ? "" : problems.front());
@@ -185,17 +187,17 @@ TEST(CheckerMutationTest, CompletionRecordCorruptionIsDetected) {
 // executed against a 1000-MI size.
 TEST(CheckerMutationTest, LostWorkIsDetected) {
   const JobSet jobs = standard_workload();
-  TimelineRecorder r;
-  r.on_task_start(0, 0, 0, 0);
-  r.on_task_start(0, 2, 0, 0);
-  r.on_task_start(0, 3, 1, 0);
-  r.on_task_finish(kTaskTime, 0, 0);
-  r.on_task_finish(kTaskTime, 2, 0);
-  r.on_task_finish(4 * kTaskTime / 10, 3, 1);  // mutated: early finish
-  r.on_job_complete(kTaskTime, 1);
-  r.on_task_start(kTaskTime, 1, 0, 0);
-  r.on_task_finish(2 * kTaskTime, 1, 0);
-  r.on_job_complete(2 * kTaskTime, 0);
+  testing::EventForge r;
+  r.dispatch(0, 0, 0);
+  r.dispatch(0, 2, 0);
+  r.dispatch(0, 3, 1);
+  r.finish(kTaskTime, 0, 0);
+  r.finish(kTaskTime, 2, 0);
+  r.finish(4 * kTaskTime / 10, 3, 1);  // mutated: early finish
+  r.job_complete(kTaskTime, 1);
+  r.dispatch(kTaskTime, 1, 0);
+  r.finish(2 * kTaskTime, 1, 0);
+  r.job_complete(2 * kTaskTime, 0);
   const auto problems = check(r, jobs);
   ASSERT_FALSE(problems.empty());
   EXPECT_TRUE(mentions(problems, "executed 400.0 MI")) << problems.front();
@@ -204,7 +206,8 @@ TEST(CheckerMutationTest, LostWorkIsDetected) {
   InvariantOptions options;
   options.check_work_conservation = false;
   EXPECT_TRUE(
-      check_run_invariants(r, jobs, two_node_cluster(), options).empty());
+      check_run_invariants(r.fold(), jobs, two_node_cluster(), options)
+          .empty());
 }
 
 }  // namespace

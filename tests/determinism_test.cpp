@@ -1,10 +1,12 @@
 // Determinism guarantees of the incremental/parallel epoch hot path:
 // priorities from the incremental compute_all (with and without a thread
 // pool) must be bit-identical to a serial full recompute, and the whole
-// preemption audit trail must be independent of the threads knob.
+// preemption audit trail and execution timeline must be independent of
+// the threads knob.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "obs/audit.h"
 #include "sim/engine.h"
 #include "sim/failures.h"
+#include "test_util.h"
 #include "trace/workload.h"
 #include "util/thread_pool.h"
 
@@ -129,12 +132,13 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
 }
 
 // ---------------------------------------------------------------------
-// Whole-run audit trail vs the threads knob
+// Whole-run audit trail and timeline vs the threads knob
 // ---------------------------------------------------------------------
 
 struct RunResult {
   RunMetrics metrics;
   std::vector<obs::PreemptDecision> decisions;
+  std::string timeline_csv;  // folded from the run's events
 };
 
 RunResult run_dsp_with_threads(int threads) {
@@ -146,9 +150,13 @@ RunResult run_dsp_with_threads(int threads) {
   Engine engine(ClusterSpec::ec2(4), jobs, sched, &policy, fast_params());
   obs::PreemptionAuditTrail trail;
   engine.set_audit(&trail);
+  const testing::RecordedRun run = testing::run_recorded(engine);
   RunResult r;
-  r.metrics = engine.run();
+  r.metrics = run.metrics;
   r.decisions = trail.decisions();
+  std::ostringstream csv;
+  run.timeline.write_csv(csv);
+  r.timeline_csv = csv.str();
   return r;
 }
 
@@ -183,6 +191,7 @@ TEST(DeterminismTest, AuditTrailIdenticalAcrossThreadCounts) {
     for (std::size_t i = 0; i < serial.decisions.size(); ++i)
       expect_decisions_identical(serial.decisions[i], parallel.decisions[i],
                                  i);
+    EXPECT_EQ(parallel.timeline_csv, serial.timeline_csv) << threads;
   }
 }
 

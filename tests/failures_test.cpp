@@ -149,15 +149,13 @@ TEST(FailureTest, DownNodeAcceptsNoWork) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 4, 1000.0, 2 * kSecond));
   RoundRobinScheduler sched;
-  TimelineRecorder recorder;
   Engine engine(nodes(2, 2), std::move(jobs), sched, nullptr, fast_params());
-  engine.set_observer(&recorder);
   FailurePlan plan;
   plan.add_outage(0, 0, 10 * kMinute);
   engine.set_failure_plan(plan);
-  const RunMetrics m = engine.run();
-  EXPECT_EQ(m.tasks_finished, 4u);
-  for (const auto& iv : recorder.intervals()) EXPECT_EQ(iv.node, 1);
+  const testing::RecordedRun run = testing::run_recorded(engine);
+  EXPECT_EQ(run.metrics.tasks_finished, 4u);
+  for (const auto& iv : run.timeline.intervals()) EXPECT_EQ(iv.node, 1);
 }
 
 TEST(FailureTest, NodeUpQueryReflectsState) {
@@ -325,18 +323,17 @@ TEST(FailureTest, InvariantsHoldUnderFailures) {
 
   DspScheduler sched;
   const ClusterSpec cluster = ClusterSpec::ec2(4);
-  TimelineRecorder recorder;
   Engine engine(cluster, jobs, sched, nullptr, fast_params());
-  engine.set_observer(&recorder);
   FailurePlan plan = FailurePlan::random_outages(cluster, 4 * kHour, 0.3, 2.0, 337);
   plan.add_slowdown(0, 30 * kSecond, 5 * kMinute, 0.5);
   engine.set_failure_plan(plan);
-  const RunMetrics m = engine.run();
-  EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
+  const testing::RecordedRun run = testing::run_recorded(engine);
+  EXPECT_EQ(run.metrics.tasks_finished, total_tasks(jobs));
 
   InvariantOptions options;
   options.check_work_conservation = false;
-  const auto problems = check_run_invariants(recorder, jobs, cluster, options);
+  const auto problems =
+      check_run_invariants(run.timeline, jobs, cluster, options);
   EXPECT_TRUE(problems.empty()) << problems.front();
 }
 

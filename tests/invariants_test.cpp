@@ -97,15 +97,14 @@ TEST_P(ComboInvariantTest, TimelineIsSound) {
   // EC2 profile: its capacity (2 cores, 4 GB) covers the generator's
   // demand clamps, so every task fits some node.
   const ClusterSpec cluster = ClusterSpec::ec2(3);
-  TimelineRecorder recorder;
   Engine engine(cluster, jobs, *scheduler, policy.get(), fast_params());
-  engine.set_observer(&recorder);
-  const RunMetrics m = engine.run();
-  ASSERT_EQ(m.tasks_finished, total_tasks(jobs)) << combo.name;
+  const testing::RecordedRun run = testing::run_recorded(engine);
+  ASSERT_EQ(run.metrics.tasks_finished, total_tasks(jobs)) << combo.name;
 
   InvariantOptions options;
   options.check_work_conservation = combo.work_conserving;
-  const auto problems = check_run_invariants(recorder, jobs, cluster, options);
+  const auto problems =
+      check_run_invariants(run.timeline, jobs, cluster, options);
   EXPECT_TRUE(problems.empty())
       << combo.name << ": " << (problems.empty() ? "" : problems.front());
 }
@@ -123,13 +122,11 @@ TEST(RecorderTest, RecordsSimpleRun) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 3, 1000.0));
   testing::RoundRobinScheduler sched;
-  TimelineRecorder recorder;
   EngineParams ep;
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 2), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
-  engine.run();
+  const TimelineRecorder recorder = testing::run_recorded(engine).timeline;
 
   // 3 tasks, one run interval each, no overhead (no preemption).
   EXPECT_EQ(recorder.intervals().size(), 3u);
@@ -166,14 +163,12 @@ TEST(RecorderTest, SplitsOverheadFromProductiveTime) {
    private:
     bool done_ = false;
   } policy;
-  TimelineRecorder recorder;
   EngineParams ep;
   ep.period = 1 * kSecond;
   ep.epoch = 500 * kMillisecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), jobs, sched, &policy,
                 ep);
-  engine.set_observer(&recorder);
-  engine.run();
+  const TimelineRecorder recorder = testing::run_recorded(engine).timeline;
 
   std::size_t overhead_count = 0, preempted_count = 0;
   for (const auto& iv : recorder.intervals()) {
@@ -193,13 +188,11 @@ TEST(RecorderTest, CsvExportHasHeaderAndRows) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 2, 1000.0));
   testing::RoundRobinScheduler sched;
-  TimelineRecorder recorder;
   EngineParams ep;
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(1, 1800.0, 2.0, 1), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
-  engine.run();
+  const TimelineRecorder recorder = testing::run_recorded(engine).timeline;
 
   std::ostringstream out;
   recorder.write_csv(out);
@@ -220,11 +213,6 @@ TEST(RecorderTest, IntervalKindNames) {
 // Invariant checker sensitivity: corrupt timelines must be rejected.
 // ---------------------------------------------------------------------
 
-class ForgingRecorder : public TimelineRecorder {
- public:
-  using TimelineRecorder::TimelineRecorder;
-};
-
 TEST(InvariantCheckerTest, DetectsMissingTask) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 2, 1000.0));
@@ -237,15 +225,15 @@ TEST(InvariantCheckerTest, DetectsMissingTask) {
 TEST(InvariantCheckerTest, DetectsDependencyViolation) {
   JobSet jobs;
   jobs.push_back(make_chain_job(0, 2, 1000.0));
-  TimelineRecorder forged;
+  testing::EventForge forged;
   // Child (gid 1) runs before parent (gid 0) finishes.
-  forged.on_task_start(0, 1, 0, 0);
-  forged.on_task_finish(kSecond, 1, 0);
-  forged.on_task_start(kSecond, 0, 0, 0);
-  forged.on_task_finish(2 * kSecond, 0, 0);
-  forged.on_job_complete(2 * kSecond, 0);
+  forged.dispatch(0, 1, 0);
+  forged.finish(kSecond, 1, 0);
+  forged.dispatch(kSecond, 0, 0);
+  forged.finish(2 * kSecond, 0, 0);
+  forged.job_complete(2 * kSecond, 0);
   const auto problems = check_run_invariants(
-      forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
+      forged.fold(), jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
   bool found = false;
   for (const auto& p : problems)
     if (p.find("before parent") != std::string::npos) found = true;
@@ -255,15 +243,15 @@ TEST(InvariantCheckerTest, DetectsDependencyViolation) {
 TEST(InvariantCheckerTest, DetectsSlotOvercommit) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 3, 1000.0));
-  TimelineRecorder forged;
+  testing::EventForge forged;
   for (Gid g = 0; g < 3; ++g) {
-    forged.on_task_start(0, g, 0, 0);
-    forged.on_task_finish(kSecond, g, 0);
+    forged.dispatch(0, g, 0);
+    forged.finish(kSecond, g, 0);
   }
-  forged.on_job_complete(kSecond, 0);
+  forged.job_complete(kSecond, 0);
   // Node has 2 slots; 3 concurrent tasks is a violation.
   const auto problems = check_run_invariants(
-      forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
+      forged.fold(), jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
   bool found = false;
   for (const auto& p : problems)
     if (p.find("exceed") != std::string::npos) found = true;
@@ -273,12 +261,12 @@ TEST(InvariantCheckerTest, DetectsSlotOvercommit) {
 TEST(InvariantCheckerTest, DetectsWorkShortfall) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 1, 10000.0));  // needs 10 s
-  TimelineRecorder forged;
-  forged.on_task_start(0, 0, 0, 0);
-  forged.on_task_finish(kSecond, 0, 0);  // only ran 1 s
-  forged.on_job_complete(kSecond, 0);
+  testing::EventForge forged;
+  forged.dispatch(0, 0, 0);
+  forged.finish(kSecond, 0, 0);  // only ran 1 s
+  forged.job_complete(kSecond, 0);
   const auto problems = check_run_invariants(
-      forged, jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
+      forged.fold(), jobs, ClusterSpec::uniform(1, 1800.0, 2.0, 2));
   bool found = false;
   for (const auto& p : problems)
     if (p.find("executed") != std::string::npos) found = true;

@@ -173,8 +173,7 @@ TEST(UmbrellaHeaderTest, ExposesCoreTypes) {
   EXPECT_DOUBLE_EQ(params.delta, 0.35);
   FailurePlan plan;
   EXPECT_TRUE(plan.empty());
-  TimelineRecorder recorder;
-  EXPECT_TRUE(recorder.intervals().empty());
+  EXPECT_TRUE(TimelineRecorder::from_events({}).timeline.intervals().empty());
   const TetrisScheduler tetris(TetrisScheduler::Dependency::kSimple);
   EXPECT_STREQ(tetris.name(), "TetrisW/SimDep");
 }

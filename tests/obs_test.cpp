@@ -414,9 +414,7 @@ TEST(ChromeTraceTest, ExportsLoadableStructure) {
   DspScheduler sched;
   Engine engine(tight_cluster(), contended_workload(6, 77), sched, &policy,
                 fast_params());
-  TimelineRecorder recorder;
-  engine.set_observer(&recorder);
-  engine.run();
+  const TimelineRecorder recorder = testing::run_recorded(engine).timeline;
   ASSERT_FALSE(recorder.intervals().empty());
 
   std::ostringstream os;

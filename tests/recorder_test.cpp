@@ -1,9 +1,13 @@
-// Tests for TimelineRecorder's exports: CSV, the ASCII Gantt chart, and
-// the round/epoch bookkeeping the Chrome trace exporter relies on.
+// Tests for TimelineRecorder: the fold over flight-recorder events and
+// its refusal of incomplete logs, and its exports — CSV, the ASCII Gantt
+// chart, and the round/epoch bookkeeping the Chrome trace exporter relies
+// on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <vector>
 
 #include "sim/recorder.h"
 #include "test_util.h"
@@ -21,17 +25,72 @@ EngineParams fast_params() {
   return p;
 }
 
-/// One small run with the recorder attached.
-TimelineRecorder record_run(std::size_t node_count = 2) {
+Engine small_engine(RoundRobinScheduler& sched, std::size_t node_count = 2) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 4, 1000.0, 0, 60 * kSecond));
-  RoundRobinScheduler sched;
-  Engine engine(ClusterSpec::uniform(node_count, 1800.0, 2.0, 2),
+  return Engine(ClusterSpec::uniform(node_count, 1800.0, 2.0, 2),
                 std::move(jobs), sched, nullptr, fast_params());
-  TimelineRecorder recorder;
-  engine.set_observer(&recorder);
+}
+
+/// One small run, folded from its events.
+TimelineRecorder record_run(std::size_t node_count = 2) {
+  RoundRobinScheduler sched;
+  Engine engine = small_engine(sched, node_count);
+  return testing::run_recorded(engine).timeline;
+}
+
+TEST(RecorderFoldTest, RejectsWrappedRing) {
+  // A ring of 8 keeps only the run's last 8 events: the fold must refuse
+  // the partial timeline and name seq 0 as the first one missing.
+  RoundRobinScheduler sched;
+  Engine engine = small_engine(sched);
+  obs::EventLog log(8);
+  engine.set_event_log(&log);
   engine.run();
-  return recorder;
+  ASSERT_GT(log.accepted(), 8u);
+
+  const TimelineFoldResult fold = TimelineRecorder::from_events(log.snapshot());
+  EXPECT_FALSE(fold.ok());
+  EXPECT_NE(fold.error.find("expected seq 0,"), std::string::npos)
+      << fold.error;
+  EXPECT_TRUE(fold.timeline.intervals().empty());
+}
+
+TEST(RecorderFoldTest, RejectsSeqGap) {
+  RoundRobinScheduler sched;
+  Engine engine = small_engine(sched);
+  obs::EventLog log;
+  engine.set_event_log(&log);
+  engine.run();
+  std::vector<obs::Event> events = log.snapshot();
+  ASSERT_TRUE(TimelineRecorder::from_events(events).ok());
+  ASSERT_GT(events.size(), 6u);
+
+  events.erase(events.begin() + 5);
+  const TimelineFoldResult fold = TimelineRecorder::from_events(events);
+  EXPECT_FALSE(fold.ok());
+  EXPECT_NE(fold.error.find("expected seq 5, found seq 6"), std::string::npos)
+      << fold.error;
+}
+
+TEST(RecorderFoldTest, ClampsOutOfRangePayloads) {
+  // Payloads of a parsed file are untrusted doubles: a NaN overhead reads
+  // as none, and round sizes clamp instead of converting out of range.
+  const std::vector<obs::Event> events = {
+      {.seq = 0, .kind = obs::EventKind::kScheduleRound, .a = 1e300, .b = -1},
+      {.seq = 1, .kind = obs::EventKind::kTaskDispatch, .task = 0, .node = 0,
+       .a = std::nan("")},
+      {.time = kSecond, .seq = 2, .kind = obs::EventKind::kTaskFinish,
+       .task = 0, .node = 0},
+  };
+  const TimelineFoldResult fold = TimelineRecorder::from_events(events);
+  ASSERT_TRUE(fold.ok()) << fold.error;
+  ASSERT_EQ(fold.timeline.intervals().size(), 1u);
+  EXPECT_EQ(fold.timeline.intervals()[0].kind, IntervalKind::kRun);
+  EXPECT_EQ(fold.timeline.intervals()[0].duration(), kSecond);
+  ASSERT_EQ(fold.timeline.rounds().size(), 1u);
+  EXPECT_EQ(fold.timeline.rounds()[0].jobs, std::size_t{1} << 53);
+  EXPECT_EQ(fold.timeline.rounds()[0].placements, 0u);
 }
 
 TEST(RecorderCsvTest, HeaderAndOneRowPerInterval) {

@@ -5,8 +5,9 @@
 // --json must parse with the documented schema, the diff mode must
 // report zero divergence for same-seed runs at different thread counts
 // (the determinism guarantee) and must pinpoint the exact first
-// differing event in a seeded-mutation log. Binary locations are
-// injected by tests/CMakeLists.txt.
+// differing event in a seeded-mutation log, and the chrome mode must
+// rebuild from a JSONL file the same trace the in-memory fold gives.
+// Binary locations are injected by tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -20,7 +21,9 @@
 #include "core/preemption.h"
 #include "obs/events.h"
 #include "obs/json.h"
+#include "obs/trace_export.h"
 #include "sim/engine.h"
+#include "sim/recorder.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -53,8 +56,12 @@ CliResult bench_diff(const std::string& args) {
   return run_cli(DSP_BENCH_DIFF_BIN, args);
 }
 
-/// Runs a contended workload with the recorder streaming to `path`.
-void write_log(const std::string& path, int threads, std::uint64_t seed) {
+constexpr std::size_t kLogNodes = 2;
+
+/// Runs a contended workload with the recorder streaming to `path`;
+/// `events`, when given, receives the in-memory copy of the stream.
+void write_log(const std::string& path, int threads, std::uint64_t seed,
+               std::vector<obs::Event>* events = nullptr) {
   WorkloadConfig cfg;
   cfg.job_count = 6;
   cfg.task_scale = 0.01;
@@ -70,12 +77,28 @@ void write_log(const std::string& path, int threads, std::uint64_t seed) {
   EngineParams ep;
   ep.period = 1 * kSecond;
   ep.epoch = 500 * kMillisecond;
-  Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 2), jobs, sched, &policy,
-                ep);
+  Engine engine(ClusterSpec::uniform(kLogNodes, 1800.0, 2.0, 2), jobs, sched,
+                &policy, ep);
   obs::EventLog log(1 << 14);
   ASSERT_TRUE(log.open_sink(path));
   engine.set_event_log(&log);
   engine.run();
+  if (events != nullptr) *events = log.snapshot();
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::vector<std::string> lines;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
 }
 
 std::string tmp_path(const std::string& name) {
@@ -140,12 +163,7 @@ TEST(DspReportCliTest, DiffPinpointsSeededMutation) {
   write_log(a, 1, 577);
 
   // Mutate one field of line 13 (0-based event 12).
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(a);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
+  std::vector<std::string> lines = read_lines(a);
   ASSERT_GT(lines.size(), 13u);
   const std::string b = tmp_path("mut_b.jsonl");
   {
@@ -180,12 +198,7 @@ TEST(DspReportCliTest, DiffPinpointsSeededMutation) {
 TEST(DspReportCliTest, DiffCatchesTruncatedLog) {
   const std::string a = tmp_path("trunc_a.jsonl");
   write_log(a, 1, 701);
-  std::vector<std::string> lines;
-  {
-    std::ifstream in(a);
-    std::string line;
-    while (std::getline(in, line)) lines.push_back(line);
-  }
+  const std::vector<std::string> lines = read_lines(a);
   const std::string b = tmp_path("trunc_b.jsonl");
   {
     std::ofstream out(b);
@@ -196,6 +209,73 @@ TEST(DspReportCliTest, DiffCatchesTruncatedLog) {
   EXPECT_NE(r.output.find("end of log"), std::string::npos) << r.output;
   std::remove(a.c_str());
   std::remove(b.c_str());
+}
+
+TEST(DspReportCliTest, ChromeFromLogMatchesInMemoryFold) {
+  const std::string log = tmp_path("chrome_run.jsonl");
+  std::vector<obs::Event> events;
+  write_log(log, 1, 419, &events);
+  const TimelineFoldResult fold = TimelineRecorder::from_events(events);
+  ASSERT_TRUE(fold.ok()) << fold.error;
+  ASSERT_FALSE(fold.timeline.intervals().empty());
+  std::ostringstream expected;
+  obs::write_chrome_trace(expected, fold.timeline, kLogNodes);
+
+  const std::string out = tmp_path("chrome_run.json");
+  const CliResult r = report("chrome " + log + " " + out);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(read_file(out), expected.str());
+  std::remove(log.c_str());
+  std::remove(out.c_str());
+}
+
+TEST(DspReportCliTest, ChromeRefusesTruncatedOrInvalidLog) {
+  const std::string log = tmp_path("chrome_full.jsonl");
+  write_log(log, 1, 421);
+  const std::vector<std::string> lines = read_lines(log);
+  ASSERT_GT(lines.size(), 10u);
+  const std::string out = tmp_path("chrome_trunc.json");
+
+  // Head cut off, as when a wrapped ring is dumped: seq 0 is missing.
+  const std::string headless = tmp_path("chrome_headless.jsonl");
+  {
+    std::ofstream f(headless);
+    for (std::size_t i = 5; i < lines.size(); ++i) f << lines[i] << "\n";
+  }
+  CliResult r = report("chrome " + headless + " " + out);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("expected seq 0,"), std::string::npos) << r.output;
+
+  // Cut mid-line, as when a writer dies: the last record does not parse.
+  const std::string cut = tmp_path("chrome_cut.jsonl");
+  {
+    std::ofstream f(cut);
+    for (std::size_t i = 0; i < 10; ++i) f << lines[i] << "\n";
+    f << lines[10].substr(0, lines[10].size() / 2);
+  }
+  r = report("chrome " + cut + " " + out);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+
+  // A run_info naming more nodes than a cluster may have.
+  const std::string huge = tmp_path("chrome_huge.jsonl");
+  {
+    std::ofstream f(huge);
+    const std::size_t at = lines[0].find("\"a\":");
+    ASSERT_NE(at, std::string::npos);
+    f << lines[0].substr(0, at) << "\"a\":1e12,"
+      << lines[0].substr(lines[0].find(',', at) + 1) << "\n";
+    for (std::size_t i = 1; i < lines.size(); ++i) f << lines[i] << "\n";
+  }
+  r = report("chrome " + huge + " " + out);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("valid node count"), std::string::npos) << r.output;
+
+  EXPECT_EQ(report("chrome " + log).exit_code, 2);  // usage: no output path
+  std::remove(log.c_str());
+  std::remove(headless.c_str());
+  std::remove(cut.c_str());
+  std::remove(huge.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(DspReportCliTest, UsageAndMissingFilesExitTwo) {

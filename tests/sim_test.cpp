@@ -135,6 +135,25 @@ TEST(ClusterTest, ValidationRejectsNonPositiveCpuAndMem) {
   EXPECT_THROW(ClusterSpec({bad}), std::invalid_argument);
 }
 
+TEST(ClusterTest, ValidationRejectsMoreNodesThanEventsCanName) {
+  // Flight-recorder events store node ids as int16: a 32768th node would
+  // wrap to -32768 in every event and every timeline folded from them.
+  NodeSpec node;
+  node.capacity = Resources{2.0, 4.0, 100.0, 100.0};
+  EXPECT_TRUE(ClusterSpec(std::vector<NodeSpec>(ClusterSpec::kMaxNodes, node))
+                  .validate()
+                  .empty());
+  try {
+    ClusterSpec spec(std::vector<NodeSpec>(ClusterSpec::kMaxNodes + 1, node));
+    FAIL() << "a cluster above the node limit must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("32768 nodes"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("limit of 32767"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(ClusterTest, ResourcesFitsAndArithmetic) {
   const Resources cap{4, 16, 100, 100};
   EXPECT_TRUE(cap.fits({4, 16, 100, 100}));

@@ -70,13 +70,11 @@ TEST(GanttTest, RendersNodeRows) {
   JobSet jobs;
   jobs.push_back(make_independent_job(0, 4, 2000.0));
   RoundRobinScheduler sched;
-  TimelineRecorder recorder;
   EngineParams ep;
   ep.period = 1 * kSecond;
   Engine engine(ClusterSpec::uniform(2, 1800.0, 2.0, 1), jobs, sched, nullptr,
                 ep);
-  engine.set_observer(&recorder);
-  engine.run();
+  const TimelineRecorder recorder = testing::run_recorded(engine).timeline;
 
   const std::string gantt = recorder.render_gantt(2, 40);
   EXPECT_NE(gantt.find("node  0 |"), std::string::npos);

@@ -1,5 +1,7 @@
 #include "test_util.h"
 
+#include <gtest/gtest.h>
+
 #include <cassert>
 
 namespace dsp::testing {
@@ -116,6 +118,23 @@ std::vector<TaskPlacement> PinnedScheduler::schedule(
           TaskPlacement{engine.gid(j, t), node_, engine.now() + seq++});
   }
   return placements;
+}
+
+RecordedRun run_recorded(Engine& engine) {
+  obs::EventLog log;
+  engine.set_event_log(&log);
+  RecordedRun run;
+  run.metrics = engine.run();
+  TimelineFoldResult fold = TimelineRecorder::from_events(log.snapshot());
+  EXPECT_TRUE(fold.ok()) << fold.error;
+  run.timeline = std::move(fold.timeline);
+  return run;
+}
+
+TimelineRecorder EventForge::fold() const {
+  TimelineFoldResult fold = TimelineRecorder::from_events(events_);
+  EXPECT_TRUE(fold.ok()) << fold.error;
+  return std::move(fold.timeline);
 }
 
 }  // namespace dsp::testing

@@ -4,8 +4,10 @@
 #include <vector>
 
 #include "dag/job.h"
+#include "obs/events.h"
 #include "sim/engine.h"
 #include "sim/policy.h"
+#include "sim/recorder.h"
 
 namespace dsp::testing {
 
@@ -63,6 +65,51 @@ class NullPreemption : public PreemptionPolicy {
  public:
   const char* name() const override { return "Null"; }
   void on_epoch(Engine&) override {}
+};
+
+/// A finished run: its metrics and the timeline folded from its events.
+struct RecordedRun {
+  RunMetrics metrics;
+  TimelineRecorder timeline;
+};
+
+/// Runs `engine` with an in-memory flight recorder attached and folds the
+/// recorded events into the run's timeline. Fails the calling test when
+/// the log could not hold the whole run.
+RecordedRun run_recorded(Engine& engine);
+
+/// Forges a flight-recorder stream for the timeline fold, stamping the
+/// dense seqs an EventLog would. The invariant-checker tests build sound
+/// and corrupted runs with it.
+class EventForge {
+ public:
+  void dispatch(SimTime t, Gid g, int node) {
+    add({.time = t, .kind = obs::EventKind::kTaskDispatch, .task = g,
+         .node = static_cast<std::int16_t>(node)});
+  }
+  void finish(SimTime t, Gid g, int node) {
+    add({.time = t, .kind = obs::EventKind::kTaskFinish, .task = g,
+         .node = static_cast<std::int16_t>(node)});
+  }
+  void preempt(SimTime t, Gid g, int node) {
+    add({.time = t, .kind = obs::EventKind::kTaskPreempt,
+         .flags = obs::kEventFlagKeptProgress, .task = g,
+         .node = static_cast<std::int16_t>(node)});
+  }
+  void job_complete(SimTime t, JobId j) {
+    add({.time = t, .kind = obs::EventKind::kJobComplete, .job = j});
+  }
+
+  /// The forged run's timeline.
+  TimelineRecorder fold() const;
+
+ private:
+  void add(obs::Event e) {
+    e.seq = events_.size();
+    events_.push_back(e);
+  }
+
+  std::vector<obs::Event> events_;
 };
 
 }  // namespace dsp::testing

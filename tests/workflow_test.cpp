@@ -117,15 +117,14 @@ TEST(WorkflowTest, DspCompletesWorkflowsWithSoundTimeline) {
     jobs.push_back(make_independent_job(j, 3, 2000.0, j * 100 * kMillisecond));
   DspScheduler sched;
   DspPreemption policy;
-  TimelineRecorder recorder;
   Engine engine(wide_cluster(), jobs, sched, &policy, fast_params());
-  engine.set_observer(&recorder);
   ASSERT_TRUE(engine.add_job_dependency(0, 2));
   ASSERT_TRUE(engine.add_job_dependency(1, 2));
   ASSERT_TRUE(engine.add_job_dependency(2, 4));
-  const RunMetrics m = engine.run();
-  EXPECT_EQ(m.tasks_finished, 15u);
-  EXPECT_EQ(m.disorders, 0u);
+  const testing::RecordedRun run = testing::run_recorded(engine);
+  const TimelineRecorder& recorder = run.timeline;
+  EXPECT_EQ(run.metrics.tasks_finished, 15u);
+  EXPECT_EQ(run.metrics.disorders, 0u);
 
   const auto problems =
       check_run_invariants(recorder, jobs, wide_cluster());

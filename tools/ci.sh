@@ -37,9 +37,10 @@
 #            threshold is generous (CI machines are noisy) — it
 #            catches order-of-magnitude slips, not drift
 #   report-smoke  flight recorder end to end: quickstart with
-#            DSP_EVENT_LOG, dsp_report --json validated by json_check,
-#            and a first-divergence diff of DSP_THREADS=1 vs =4
-#            same-seed logs, which must report zero divergence
+#            DSP_EVENT_LOG, dsp_report --json and dsp_report chrome
+#            validated by json_check, and a first-divergence diff of
+#            DSP_THREADS=1 vs =4 same-seed logs, which must report zero
+#            divergence
 #   sweep-smoke  dsp_sweep over a small scenario grid at --threads 1
 #            and 4: the two --json reports must be byte-identical (the
 #            grid runner's determinism contract) and pass json_check
@@ -292,6 +293,10 @@ if ! skipped report-smoke; then
     report events jobs.count jobs.completed queueing_delay_s.count \
     preempt_latency_s.count preempt.decisions utilization.epochs \
     utilization.mean per_job
+
+  echo "dsp_report chrome (timeline folded from the JSONL log)"
+  "$REPORT" chrome "$report_tmp/t1.jsonl" "$report_tmp/t1.trace.json"
+  "$JSON_CHECK" "$report_tmp/t1.trace.json" displayTimeUnit traceEvents
 
   echo "dsp_report diff (same seed, threads 1 vs 4: must be identical)"
   "$REPORT" diff "$report_tmp/t1.jsonl" "$report_tmp/t4.jsonl" \

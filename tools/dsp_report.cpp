@@ -15,6 +15,13 @@
 //       bit-identical at any DSP_THREADS — a non-empty diff localizes a
 //       determinism bug to the first event where the runs disagree.
 //       Exit 0 when identical, 1 on divergence, 2 on usage/parse errors.
+//
+//   dsp_report chrome <log.jsonl> <out.json>
+//       Folds the log into its execution timeline and writes it as a
+//       chrome://tracing / Perfetto trace. The log must hold a whole run
+//       (no wrapped ring, no truncation); the node count comes from the
+//       run_info event. Exit 0 on success, 2 on usage/parse errors or an
+//       incomplete log.
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -24,6 +31,9 @@
 #include "obs/events.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/trace_export.h"
+#include "sim/cluster.h"
+#include "sim/recorder.h"
 #include "util/table.h"
 #include "util/time.h"
 
@@ -346,11 +356,43 @@ int run_diff(const std::string& a_path, const std::string& b_path,
   return divergence < 0 ? 0 : 1;
 }
 
+int run_chrome(const std::string& log_path, const std::string& out_path) {
+  const obs::EventParseResult parsed = obs::read_event_log(log_path);
+  const TimelineFoldResult fold = TimelineRecorder::from_events(parsed.events);
+  const std::string& error = parsed.ok() ? fold.error : parsed.error;
+  if (!error.empty()) {
+    std::fprintf(stderr, "dsp_report: %s: %s\n", log_path.c_str(),
+                 error.c_str());
+    return 2;
+  }
+  // Every run opens with run_info, whose payload a is the node count.
+  const obs::Event* info =
+      parsed.events.empty() ? nullptr : &parsed.events.front();
+  if (info == nullptr || info->kind != obs::EventKind::kRunInfo ||
+      !(info->a >= 0.0 &&
+        info->a <= static_cast<double>(ClusterSpec::kMaxNodes))) {
+    std::fprintf(stderr,
+                 "dsp_report: %s: the first event is not a run_info with a "
+                 "valid node count\n",
+                 log_path.c_str());
+    return 2;
+  }
+  std::ofstream out(out_path);
+  if (!out) {
+    std::fprintf(stderr, "dsp_report: cannot open %s\n", out_path.c_str());
+    return 2;
+  }
+  obs::write_chrome_trace(out, fold.timeline,
+                          static_cast<std::size_t>(info->a));
+  return out ? 0 : 2;
+}
+
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s <log.jsonl> [--json <out.json>]\n"
-               "       %s diff <a.jsonl> <b.jsonl> [--json <out.json>]\n",
-               argv0, argv0);
+               "       %s diff <a.jsonl> <b.jsonl> [--json <out.json>]\n"
+               "       %s chrome <log.jsonl> <out.json>\n",
+               argv0, argv0, argv0);
   return 2;
 }
 
@@ -374,6 +416,8 @@ int main(int argc, char** argv) {
 
   if (pos.size() == 3 && pos[0] == "diff")
     return dsp::run_diff(pos[1], pos[2], json_path);
+  if (pos.size() == 3 && pos[0] == "chrome" && json_path.empty())
+    return dsp::run_chrome(pos[1], pos[2]);
   if (pos.size() != 1) return dsp::usage(argv[0]);
 
   const dsp::obs::EventParseResult parsed = dsp::obs::read_event_log(pos[0]);
