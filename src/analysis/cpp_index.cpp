@@ -1,29 +1,19 @@
 #include "analysis/cpp_index.h"
 
-#include <algorithm>
 #include <cctype>
-#include <fstream>
 #include <regex>
-#include <sstream>
+#include <set>
 
 #include "analysis/cpp_lex.h"
 
 namespace dsp::analysis {
 namespace {
 
-// ---------------------------------------------------------------------------
-// Small string utilities
-// ---------------------------------------------------------------------------
-
 std::string trim(std::string_view s) {
   std::size_t b = 0, e = s.size();
   while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
   return std::string(s.substr(b, e - b));
-}
-
-bool is_ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
 /// C++ keywords (and cast/control tokens) that look like call names.
@@ -39,15 +29,6 @@ bool is_keyword(std::string_view name) {
   return kKeywords.count(name) > 0;
 }
 
-/// Tokens that may legally precede a call expression even though they are
-/// identifiers ("return foo()"). Anything else identifier-like in front
-/// means `foo` is a declared variable name, not a callee.
-bool is_call_context_keyword(std::string_view tok) {
-  return tok == "return" || tok == "throw" || tok == "case" ||
-         tok == "else" || tok == "do" || tok == "co_return" ||
-         tok == "co_await" || tok == "co_yield" || tok == "goto";
-}
-
 /// Index of the bracket matching text[open] (one of ( [ { <), or npos.
 std::size_t match_bracket(const std::string& text, std::size_t open) {
   const char o = text[open];
@@ -58,97 +39,6 @@ std::size_t match_bracket(const std::string& text, std::size_t open) {
     else if (text[i] == c && --depth == 0) return i;
   }
   return std::string::npos;
-}
-
-/// Splits `text` on top-level commas (ignoring commas nested in any
-/// bracket kind), trimming each piece.
-std::vector<std::string> split_top_commas(const std::string& text) {
-  std::vector<std::string> out;
-  int paren = 0, angle = 0, square = 0, brace = 0;
-  std::string cur;
-  for (const char c : text) {
-    switch (c) {
-      case '(': ++paren; break;
-      case ')': --paren; break;
-      case '<': ++angle; break;
-      case '>': if (angle > 0) --angle; break;
-      case '[': ++square; break;
-      case ']': --square; break;
-      case '{': ++brace; break;
-      case '}': --brace; break;
-      case ',':
-        if (paren == 0 && angle == 0 && square == 0 && brace == 0) {
-          out.push_back(trim(cur));
-          cur.clear();
-          continue;
-        }
-        break;
-      default: break;
-    }
-    cur += c;
-  }
-  const std::string last = trim(cur);
-  if (!last.empty() || !out.empty()) out.push_back(last);
-  if (out.size() == 1 && out[0].empty()) out.clear();
-  return out;
-}
-
-/// Last identifier token of a declaration fragment ("const std::string&
-/// path" -> "path").
-std::string last_identifier(const std::string& text) {
-  std::size_t e = text.size();
-  while (e > 0 && !is_ident_char(text[e - 1])) --e;
-  std::size_t b = e;
-  while (b > 0 && is_ident_char(text[b - 1])) --b;
-  return text.substr(b, e - b);
-}
-
-/// Normalizes a lock/argument expression: whitespace removed, leading
-/// &/* and this-> stripped ("& this -> mu_" -> "mu_").
-std::string normalize_expr(std::string_view s) {
-  std::string out;
-  for (const char c : s)
-    if (!std::isspace(static_cast<unsigned char>(c))) out += c;
-  while (!out.empty() && (out.front() == '&' || out.front() == '*'))
-    out.erase(out.begin());
-  if (out.rfind("this->", 0) == 0) out.erase(0, 6);
-  return out;
-}
-
-bool is_simple_identifier(const std::string& s) {
-  if (s.empty() || std::isdigit(static_cast<unsigned char>(s[0]))) return false;
-  return std::all_of(s.begin(), s.end(), is_ident_char);
-}
-
-// ---------------------------------------------------------------------------
-// Sink / event patterns
-// ---------------------------------------------------------------------------
-
-const std::regex& io_sink_re() {
-  static const std::regex re(
-      R"(\b(printf|fprintf|puts|fputs|fwrite|fread|fopen|fclose|fflush|getline)\s*\(|\bstd\s*::\s*(cout|cerr|ifstream|ofstream|fstream)\b|\bDSP_(DEBUG|INFO|WARN|ERROR|LOG_AT)\s*\(|\blog_detail\s*::\s*emit\b)");
-  return re;
-}
-
-/// Nondeterminism tokens: the union of srclint's D000/D001/D002 pattern
-/// sets plus hash-order containers (D003's token) — what D006 reports
-/// when one is reachable from a core/sim entry point through calls.
-const std::regex& nondet_sink_re() {
-  static const std::regex re(
-      R"(\b(srand|srandom|rand_r|drand48|lrand48|mrand48|rand|random)\s*\(|\bstd\s*::\s*random_device\b|\btime\s*\(|\bgettimeofday\s*\(|\bclock_gettime\s*\(|\blocaltime(_r)?\s*\(|\bgmtime(_r)?\s*\(|\bsystem_clock\b|\bhigh_resolution_clock\b|\bunordered_(map|set|multimap|multiset)\b)");
-  return re;
-}
-
-const std::regex& raii_lock_re() {
-  static const std::regex re(
-      R"(\b(MutexLock|scoped_lock|lock_guard|unique_lock|shared_lock)\b)");
-  return re;
-}
-
-const std::regex& manual_lock_re() {
-  static const std::regex re(
-      R"(([A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*)\s*(?:\.|->)\s*(lock|unlock)\s*\(\s*\))");
-  return re;
 }
 
 const std::regex& call_re() {
@@ -162,25 +52,6 @@ const std::regex& lambda_assign_re() {
   return re;
 }
 
-/// Mutating container calls counted as writes for L003.
-const std::regex& mutator_write_re() {
-  static const std::regex re(
-      R"(\b([A-Za-z_]\w*_)\s*(?:\[[^\]]*\]\s*)?\.\s*(push_back|emplace_back|pop_back|clear|resize|assign|insert|erase|emplace|fill|reserve)\s*\()");
-  return re;
-}
-
-/// Assignment / compound-assignment / increment targets ending in '_'.
-const std::regex& assign_write_re() {
-  static const std::regex re(
-      R"(\b([A-Za-z_]\w*_)\s*(?:\[[^\]]*\]\s*)?(=|\+=|-=|\*=|/=|\|=|&=|\^=|<<=|>>=|\+\+|--))");
-  return re;
-}
-
-const std::regex& requires_re() {
-  static const std::regex re(R"(DSP_REQUIRES\s*\()");
-  return re;
-}
-
 // ---------------------------------------------------------------------------
 // Indexer state machine
 // ---------------------------------------------------------------------------
@@ -188,15 +59,9 @@ const std::regex& requires_re() {
 struct Frame {
   enum Kind { kNamespace, kClass, kFunction, kBlock };
   Kind kind = kBlock;
-  std::string name;
+  std::string name;     ///< Class name for kClass frames.
   int entry_depth = 0;  ///< Brace depth before this scope's '{'.
   int fn = -1;          ///< functions index for kFunction frames.
-  std::size_t held_base = 0;  ///< Held-stack size at function entry.
-};
-
-struct HeldLock {
-  std::string id;
-  int depth = 0;  ///< Brace depth the RAII object lives at.
 };
 
 class Indexer {
@@ -204,11 +69,9 @@ class Indexer {
   Indexer(std::string path, CppIndex& index)
       : file_(std::move(path)), index_(index) {}
 
-  void run(std::string_view text);
   void run_lines(const std::vector<Line>& lines);
 
  private:
-  // --- scope helpers ---
   Frame* innermost_function() {
     for (auto it = scopes_.rbegin(); it != scopes_.rend(); ++it)
       if (it->kind == Frame::kFunction) return &*it;
@@ -219,41 +82,11 @@ class Indexer {
       if (it->kind == Frame::kClass) return it->name;
     return "";
   }
-  bool frame_alive(int fn) const {
-    for (const Frame& f : scopes_)
-      if (f.kind == Frame::kFunction && f.fn == fn) return true;
-    return false;
-  }
 
-  /// Qualifies an expression as a member of `cls` when it follows the
-  /// member convention (trailing underscore) or is a declared member.
-  std::string qualify(const std::string& expr, const std::string& cls) const {
-    if (cls.empty() || !is_simple_identifier(expr)) return expr;
-    if (index_.member_types.count({cls, expr}) > 0 || expr.back() == '_')
-      return cls + "::" + expr;
-    return expr;
-  }
-
-  // --- declaration handling (outside function bodies) ---
   void classify_open_brace(int line_no);
-  void handle_declaration_end(int line_no);
   bool try_start_function(const std::string& decl, int line_no,
                           bool as_lambda, const std::string& lambda_name);
-  static std::vector<std::string> parse_requires(const std::string& decl);
-
-  // --- body event extraction ---
-  struct LineBuffer {
-    int fn = -1;
-    std::string text;
-    std::vector<std::string> held_snapshot;  ///< Qualified ids at creation.
-    std::size_t held_base = 0;
-  };
-  void append_body_char(char c, int line_no);
-  void flush_line_buffers(int line_no);
-  void scan_body(LineBuffer& buf, int line_no);
-
-  // --- lambda detection ---
-  void prescan_lambdas(const std::string& code, std::size_t line_start);
+  void prescan_lambdas(const std::string& code);
 
   std::string file_;
   CppIndex& index_;
@@ -261,33 +94,11 @@ class Indexer {
   int depth_ = 0;
   std::vector<Frame> scopes_;
   std::string pending_;  ///< Declaration text since the last ; { }.
-  std::vector<HeldLock> held_;
-  std::vector<LineBuffer> line_buffers_;
 
   /// Positions (within the current line) where a '{' opens the body of a
   /// variable-assigned lambda, with the variable name.
   std::map<std::size_t, std::string> lambda_bodies_;
-  std::size_t line_pos_ = 0;  ///< Current column during the char walk.
 };
-
-std::vector<std::string> Indexer::parse_requires(const std::string& decl) {
-  std::vector<std::string> out;
-  std::smatch m;
-  std::string rest = decl;
-  while (std::regex_search(rest, m, requires_re())) {
-    const std::size_t open = static_cast<std::size_t>(m.position(0)) +
-                             m.str(0).size() - 1;
-    const std::size_t close = match_bracket(rest, open);
-    if (close == std::string::npos) break;
-    for (const std::string& arg :
-         split_top_commas(rest.substr(open + 1, close - open - 1))) {
-      const std::string norm = normalize_expr(arg);
-      if (!norm.empty() && norm[0] != '!') out.push_back(norm);
-    }
-    rest = rest.substr(close + 1);
-  }
-  return out;
-}
 
 /// Parses `decl` (the accumulated text before a '{') as a function
 /// signature; on success creates the FunctionInfo and pushes its frame.
@@ -299,15 +110,12 @@ bool Indexer::try_start_function(const std::string& decl, int line_no,
   fn.begin_line = line_no;
 
   if (as_lambda) {
-    fn.is_lambda = true;
     fn.name = lambda_name;
-    fn.cls = current_class();
     const Frame* parent = innermost_function();
-    fn.parent = parent != nullptr ? index_.functions[parent->fn].qual : "";
-    if (!parent && !fn.cls.empty()) fn.parent = fn.cls;
-    fn.qual = (fn.parent.empty() ? "" : fn.parent + "::") + fn.name;
-    // Lambda parameters ("[&](std::size_t i)") are not needed by the
-    // flow rules; captures make argument substitution meaningless.
+    const std::string outer = parent != nullptr
+                                  ? index_.functions[parent->fn].qual
+                                  : current_class();
+    fn.qual = (outer.empty() ? "" : outer + "::") + fn.name;
   } else {
     // Reject obvious non-functions: initializers and control flow.
     const std::string t = trim(decl);
@@ -341,9 +149,7 @@ bool Indexer::try_start_function(const std::string& decl, int line_no,
       rest = rest.substr(advance);
     }
     if (qual_name.empty()) return false;
-
-    const std::size_t params_close = match_bracket(decl, params_open);
-    if (params_close == std::string::npos) return false;
+    if (match_bracket(decl, params_open) == std::string::npos) return false;
 
     // Strip whitespace inside the qualified name ("EventLog :: open").
     std::string compact;
@@ -351,38 +157,23 @@ bool Indexer::try_start_function(const std::string& decl, int line_no,
       if (!std::isspace(static_cast<unsigned char>(c))) compact += c;
     const std::size_t sep = compact.rfind("::");
     fn.name = sep == std::string::npos ? compact : compact.substr(sep + 2);
+    std::string cls;
     if (sep != std::string::npos) {
       const std::string before = compact.substr(0, sep);
       const std::size_t prev = before.rfind("::");
-      fn.cls = prev == std::string::npos ? before : before.substr(prev + 2);
+      cls = prev == std::string::npos ? before : before.substr(prev + 2);
     } else {
-      fn.cls = current_class();
+      cls = current_class();
     }
-    fn.qual = fn.cls.empty() ? fn.name : fn.cls + "::" + fn.name;
-
-    for (const std::string& param : split_top_commas(
-             decl.substr(params_open + 1, params_close - params_open - 1))) {
-      std::string p = param;
-      const std::size_t eq = p.find('=');
-      if (eq != std::string::npos) p = p.substr(0, eq);
-      const std::string name = last_identifier(p);
-      fn.params.push_back(name);
-    }
-    for (std::string& lock : parse_requires(decl)) {
-      const bool is_param = std::find(fn.params.begin(), fn.params.end(),
-                                      lock) != fn.params.end();
-      fn.requires_locks.push_back(is_param ? lock : qualify(lock, fn.cls));
-    }
+    fn.qual = cls.empty() ? fn.name : cls + "::" + fn.name;
   }
 
   const int idx = static_cast<int>(index_.functions.size());
   index_.functions.push_back(std::move(fn));
   Frame frame;
   frame.kind = Frame::kFunction;
-  frame.name = index_.functions[idx].name;
   frame.entry_depth = depth_ - 1;  // '{' already counted
   frame.fn = idx;
-  frame.held_base = held_.size();
   scopes_.push_back(frame);
   return true;
 }
@@ -407,7 +198,6 @@ void Indexer::classify_open_brace(int line_no) {
   frame.entry_depth = depth_ - 1;
   if (std::regex_match(t, m, kNamespaceRe)) {
     frame.kind = Frame::kNamespace;
-    frame.name = m[1].matched ? m.str(1) : "";
     scopes_.push_back(frame);
   } else if (std::regex_search(t, m, kClassRe) &&
              t.find('(') == std::string::npos) {
@@ -422,68 +212,7 @@ void Indexer::classify_open_brace(int line_no) {
   pending_.clear();
 }
 
-/// A ';' outside function bodies ends a declaration: record member
-/// variables (type + guarded-ness) inside classes and DSP_REQUIRES on
-/// method declarations.
-void Indexer::handle_declaration_end(int /*line_no*/) {
-  const std::string cls = current_class();
-  std::string decl = trim(pending_);
-  pending_.clear();
-  if (decl.empty()) return;
-  static const std::regex kAccess(R"(\b(public|private|protected)\s*:)");
-  decl = trim(std::regex_replace(decl, kAccess, " "));
-  if (decl.empty()) return;
-
-  if (decl.find('(') != std::string::npos) {
-    // Method declaration: keep its DSP_REQUIRES for the out-of-class
-    // definition (Clang TSA style puts the annotation on declarations).
-    const std::vector<std::string> locks = parse_requires(decl);
-    if (locks.empty() || cls.empty()) return;
-    std::smatch m;
-    std::string rest = decl;
-    while (std::regex_search(rest, m, call_re())) {
-      std::string simple = m.str(1);
-      const std::size_t sep = simple.rfind("::");
-      if (sep != std::string::npos) simple = simple.substr(sep + 2);
-      if (!is_keyword(simple)) {
-        std::vector<std::string>& slot =
-            index_.decl_requires[cls + "::" + simple];
-        for (const std::string& lock : locks)
-          slot.push_back(lock.find("::") == std::string::npos &&
-                                 is_simple_identifier(lock)
-                             ? qualify(lock, cls)
-                             : lock);
-        return;
-      }
-      rest = m.suffix();
-    }
-    return;
-  }
-  if (cls.empty()) return;
-
-  // Member variable: the declared name is the identifier followed by a
-  // guard annotation, initializer, or end of declaration.
-  static const std::regex kMember(
-      R"(([A-Za-z_]\w*)\s*(?:\[\s*\w*\s*\])?\s*(DSP_(?:PT_)?GUARDED_BY\s*\([^)]*\))?\s*(=[^;]*|\{[^;]*\})?$)");
-  std::smatch m;
-  if (decl.rfind("using", 0) == 0 || decl.rfind("typedef", 0) == 0 ||
-      decl.rfind("friend", 0) == 0)
-    return;
-  if (!std::regex_search(decl, m, kMember) || !m[1].matched) return;
-  const std::string name = m.str(1);
-  const std::string type = trim(decl.substr(0, static_cast<std::size_t>(m.position(1))));
-  if (type.empty() || is_keyword(name)) return;
-  index_.member_types[{cls, name}] = type;
-  const bool guarded = m[2].matched ||
-                       type.find("atomic") != std::string::npos ||
-                       type.find("thread_local") != std::string::npos;
-  if (guarded) {
-    index_.guarded_members.insert(cls + "::" + name);
-    index_.guarded_bare.insert(name);
-  }
-}
-
-void Indexer::prescan_lambdas(const std::string& code, std::size_t) {
+void Indexer::prescan_lambdas(const std::string& code) {
   lambda_bodies_.clear();
   for (std::sregex_iterator it(code.begin(), code.end(), lambda_assign_re()),
        end;
@@ -509,23 +238,6 @@ void Indexer::prescan_lambdas(const std::string& code, std::size_t) {
   }
 }
 
-void Indexer::append_body_char(char c, int line_no) {
-  Frame* fn = innermost_function();
-  if (fn == nullptr) return;
-  if (line_buffers_.empty() || line_buffers_.back().fn != fn->fn) {
-    LineBuffer buf;
-    buf.fn = fn->fn;
-    buf.held_base = fn->held_base;
-    for (std::size_t i = fn->held_base; i < held_.size(); ++i)
-      buf.held_snapshot.push_back(held_[i].id);
-    line_buffers_.push_back(std::move(buf));
-  }
-  line_buffers_.back().text += c;
-  (void)line_no;
-}
-
-void Indexer::run(std::string_view text) { run_lines(lex_lines(text)); }
-
 void Indexer::run_lines(const std::vector<Line>& lines) {
   for (std::size_t li = 0; li < lines.size(); ++li) {
     const Line& line = lines[li];
@@ -535,289 +247,35 @@ void Indexer::run_lines(const std::vector<Line>& lines) {
     if (!allows.empty()) index_.allows[file_][line_no] = allows;
     if (line.preprocessor) continue;
 
-    prescan_lambdas(line.code, 0);
-    line_buffers_.clear();
-
+    prescan_lambdas(line.code);
     for (std::size_t j = 0; j < line.code.size(); ++j) {
       const char c = line.code[j];
-      line_pos_ = j;
       if (c == '{') {
         ++depth_;
         const auto lambda = lambda_bodies_.find(j);
         if (lambda != lambda_bodies_.end()) {
           try_start_function("", line_no, true, lambda->second);
-        } else if (innermost_function() != nullptr) {
-          // Plain block (or inline lambda) inside a body.
-        } else {
+        } else if (innermost_function() == nullptr) {
+          // Plain blocks and inline lambdas inside a body need no frame.
           classify_open_brace(line_no);
         }
         continue;
       }
       if (c == '}') {
         --depth_;
-        while (!held_.empty() && held_.back().depth > depth_)
-          held_.pop_back();
         while (!scopes_.empty() && scopes_.back().entry_depth >= depth_) {
-          Frame& f = scopes_.back();
-          if (f.kind == Frame::kFunction) {
+          const Frame& f = scopes_.back();
+          if (f.kind == Frame::kFunction)
             index_.functions[f.fn].end_line = line_no;
-            if (held_.size() > f.held_base) held_.resize(f.held_base);
-          }
           scopes_.pop_back();
         }
         if (innermost_function() == nullptr) pending_.clear();
         continue;
       }
-      if (innermost_function() != nullptr) {
-        append_body_char(c, line_no);
-      } else {
-        if (c == ';') {
-          handle_declaration_end(line_no);
-        } else {
-          pending_ += c;
-        }
-      }
-    }
-    flush_line_buffers(line_no);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Body event extraction
-// ---------------------------------------------------------------------------
-
-void Indexer::flush_line_buffers(int line_no) {
-  for (LineBuffer& buf : line_buffers_) scan_body(buf, line_no);
-  line_buffers_.clear();
-}
-
-void Indexer::scan_body(LineBuffer& buf, int line_no) {
-  FunctionInfo& fn = index_.functions[buf.fn];
-  const std::string& body = buf.text;
-  const std::string cls = fn.cls;
-  const bool io_exempt =
-      path_has(file_, "util/log.") || path_has(file_, "obs/events.");
-
-  // Events are processed in positional order so that a lock declared
-  // earlier on the line covers calls and writes after it.
-  struct Event {
-    std::size_t pos;
-    int kind;  // 0 = RAII lock, 1 = manual lock/unlock, 2 = call
-    std::smatch m;
-  };
-  std::vector<Event> events;
-  std::vector<std::pair<std::size_t, std::size_t>> masked;  // skip spans
-
-  for (std::sregex_iterator it(body.begin(), body.end(), raii_lock_re()), end;
-       it != end; ++it)
-    events.push_back({static_cast<std::size_t>(it->position(0)), 0, *it});
-  for (std::sregex_iterator it(body.begin(), body.end(), manual_lock_re()), end;
-       it != end; ++it)
-    events.push_back({static_cast<std::size_t>(it->position(0)), 1, *it});
-  for (std::sregex_iterator it(body.begin(), body.end(), call_re()), end;
-       it != end; ++it)
-    events.push_back({static_cast<std::size_t>(it->position(0)), 2, *it});
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) { return a.pos < b.pos; });
-
-  std::vector<std::string> held = buf.held_snapshot;
-  std::vector<std::string> newly_acquired;
-  std::vector<std::string> released;
-
-  const auto in_mask = [&](std::size_t pos) {
-    for (const auto& [b, e] : masked)
-      if (pos >= b && pos < e) return true;
-    return false;
-  };
-
-  for (Event& ev : events) {
-    if (in_mask(ev.pos)) continue;
-    if (ev.kind == 0) {
-      // RAII lock declaration: Type [<...>] var(args) or var{args}.
-      std::size_t pos = ev.pos + ev.m.str(0).size();
-      while (pos < body.size() && std::isspace(static_cast<unsigned char>(body[pos])))
-        ++pos;
-      if (pos < body.size() && body[pos] == '<') {
-        const std::size_t close = match_bracket(body, pos);
-        if (close == std::string::npos) continue;
-        pos = close + 1;
-      }
-      while (pos < body.size() && (std::isspace(static_cast<unsigned char>(body[pos]))))
-        ++pos;
-      std::size_t name_end = pos;
-      while (name_end < body.size() && is_ident_char(body[name_end])) ++name_end;
-      if (name_end == pos) continue;  // not a declaration (e.g. a cast)
-      std::size_t open = name_end;
-      while (open < body.size() && std::isspace(static_cast<unsigned char>(body[open])))
-        ++open;
-      if (open >= body.size() || (body[open] != '(' && body[open] != '{'))
-        continue;
-      const std::size_t close = match_bracket(body, open);
-      if (close == std::string::npos) continue;
-      masked.push_back({ev.pos, close + 1});
-      const std::string args = body.substr(open + 1, close - open - 1);
-      if (args.find("adopt_lock") != std::string::npos ||
-          args.find("defer_lock") != std::string::npos ||
-          args.find("try_to_lock") != std::string::npos)
-        continue;
-      for (const std::string& arg : split_top_commas(args)) {
-        const std::string id = qualify(normalize_expr(arg), cls);
-        if (id.empty()) continue;
-        LockAcq acq;
-        acq.lock = id;
-        acq.line = line_no;
-        acq.held_before = held;
-        fn.acquisitions.push_back(std::move(acq));
-        held.push_back(id);
-        newly_acquired.push_back(id);
-      }
-    } else if (ev.kind == 1) {
-      // Manual obj.lock() / obj.unlock().
-      masked.push_back({ev.pos, ev.pos + ev.m.str(0).size()});
-      const std::string id = qualify(normalize_expr(ev.m.str(1)), cls);
-      if (ev.m.str(2) == "lock") {
-        LockAcq acq;
-        acq.lock = id;
-        acq.line = line_no;
-        acq.held_before = held;
-        fn.acquisitions.push_back(std::move(acq));
-        held.push_back(id);
-        newly_acquired.push_back(id);
-      } else {
-        const auto it = std::find(held.rbegin(), held.rend(), id);
-        if (it != held.rend()) held.erase(std::next(it).base());
-        released.push_back(id);
-      }
-    } else {
-      // Call site.
-      const std::string qual_name = ev.m.str(1);
-      std::string simple;
-      for (const char c : qual_name)
-        if (!std::isspace(static_cast<unsigned char>(c))) simple += c;
-      const std::size_t sep = simple.rfind("::");
-      if (sep != std::string::npos) simple = simple.substr(sep + 2);
-      if (simple.empty() || simple[0] == '~' || is_keyword(simple)) continue;
-
-      // Receiver: obj. / obj-> directly before the name. Otherwise check
-      // the preceding token — an identifier there means this is a
-      // declaration ("MutexLock lock(mu_)"), not a call.
-      std::string object;
-      bool this_call = true;
-      std::size_t before = ev.pos;
-      while (before > 0 && std::isspace(static_cast<unsigned char>(body[before - 1])))
-        --before;
-      if (before >= 1 && body[before - 1] == '.') {
-        std::size_t ob = before - 1;
-        std::size_t oe = ob;
-        if (ob > 0 && body[ob - 1] == ']') {
-          const std::size_t sq = body.rfind('[', ob - 1);
-          if (sq != std::string::npos) ob = sq;
-        }
-        while (ob > 0 && is_ident_char(body[ob - 1])) --ob;
-        object = body.substr(ob, oe - ob);
-        this_call = false;
-      } else if (before >= 2 && body[before - 2] == '-' && body[before - 1] == '>') {
-        std::size_t ob = before - 2;
-        while (ob > 0 && is_ident_char(body[ob - 1])) --ob;
-        object = body.substr(ob, before - 2 - ob);
-        this_call = object == "this";
-        if (object == "this") object.clear();
-      } else if (sep == std::string::npos) {
-        // No receiver and unqualified: reject declarations.
-        if (before > 0 && (is_ident_char(body[before - 1]) || body[before - 1] == '>' ||
-                           body[before - 1] == '&' || body[before - 1] == '*')) {
-          std::size_t tb = before;
-          while (tb > 0 && is_ident_char(body[tb - 1])) --tb;
-          const std::string prev_tok = body.substr(tb, before - tb);
-          if (!is_call_context_keyword(prev_tok)) continue;
-        }
-      }
-      // Trim the base identifier out of "victims_[k]"-style receivers.
-      const std::size_t bracket = object.find('[');
-      if (bracket != std::string::npos) object = object.substr(0, bracket);
-
-      CallSite site;
-      site.name = simple;
-      site.object = normalize_expr(object);
-      site.this_call = this_call;
-      site.line = line_no;
-      site.held = held;
-      const std::size_t open = ev.pos + ev.m.str(0).size() - 1;
-      const std::size_t close = match_bracket(body, open);
-      if (close != std::string::npos) {
-        for (const std::string& arg :
-             split_top_commas(body.substr(open + 1, close - open - 1)))
-          site.args.push_back(arg);
-      }
-      if (simple == "parallel_for" && site.args.size() >= 2) {
-        ParallelForSite pf;
-        pf.callback = normalize_expr(site.args[1]);
-        pf.line = line_no;
-        fn.parallel_fors.push_back(std::move(pf));
-      }
-      fn.calls.push_back(std::move(site));
-    }
-  }
-
-  // Sinks and member writes see the whole line; "under a lock" means any
-  // lock held when the line starts or acquired earlier on it.
-  const bool any_held = !held.empty() || !buf.held_snapshot.empty();
-  std::smatch m;
-  if (!io_exempt && std::regex_search(body, m, io_sink_re())) {
-    SinkSite s;
-    for (const char c : m.str(0))
-      if (!std::isspace(static_cast<unsigned char>(c))) s.token += c;
-    s.line = line_no;
-    fn.io_sites.push_back(std::move(s));
-  }
-  if (std::regex_search(body, m, nondet_sink_re())) {
-    SinkSite s;
-    for (const char c : m.str(0))
-      if (!std::isspace(static_cast<unsigned char>(c))) s.token += c;
-    s.line = line_no;
-    fn.nondet_sites.push_back(std::move(s));
-  }
-  for (int pass = 0; pass < 2; ++pass) {
-    const std::regex& re = pass == 0 ? mutator_write_re() : assign_write_re();
-    for (std::sregex_iterator it(body.begin(), body.end(), re), end; it != end;
-         ++it) {
-      const std::string target = it->str(1);
-      if (pass == 1) {
-        // Exclude comparisons: "x_ == y", "x_ <= y" never match the ops
-        // group, but "x_ =" preceded by < > ! = in the source would.
-        const std::string op = it->str(2);
-        if (op == "=") {
-          const std::size_t op_pos =
-              static_cast<std::size_t>(it->position(2));
-          if (op_pos + 1 < body.size() && body[op_pos + 1] == '=') continue;
-          if (op_pos > 0 && (body[op_pos - 1] == '<' || body[op_pos - 1] == '>' ||
-                             body[op_pos - 1] == '!' || body[op_pos - 1] == '='))
-            continue;
-        }
-      }
-      if (std::find(fn.params.begin(), fn.params.end(), target) !=
-          fn.params.end())
-        continue;
-      WriteSite w;
-      w.member = qualify(target, cls);
-      w.line = line_no;
-      w.under_lock = any_held;
-      fn.member_writes.push_back(std::move(w));
-    }
-  }
-
-  // Persist RAII state only while the function is still open (a
-  // single-line body released everything when its '}' popped the frame).
-  if (frame_alive(buf.fn)) {
-    for (const std::string& id : newly_acquired)
-      held_.push_back({id, depth_});
-    for (const std::string& id : released) {
-      for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
-        if (it->id == id) {
-          held_.erase(std::next(it).base());
-          break;
-        }
-      }
+      if (innermost_function() != nullptr) continue;
+      // A ';' outside function bodies ends a declaration.
+      if (c == ';') pending_.clear();
+      else pending_ += c;
     }
   }
 }
@@ -839,44 +297,19 @@ bool CppIndex::allowed_at(const std::string& file, int line,
 
 void CppIndex::finalize() {
   by_name.clear();
-  for (std::size_t i = 0; i < functions.size(); ++i) {
-    FunctionInfo& fn = functions[i];
-    by_name[fn.name].push_back(static_cast<int>(i));
-    // Merge DSP_REQUIRES recorded on a header declaration into the
-    // out-of-class definition.
-    const auto it = decl_requires.find(fn.qual);
-    if (it != decl_requires.end()) {
-      for (const std::string& lock : it->second)
-        if (std::find(fn.requires_locks.begin(), fn.requires_locks.end(),
-                      lock) == fn.requires_locks.end())
-          fn.requires_locks.push_back(lock);
-    }
-  }
+  for (std::size_t i = 0; i < functions.size(); ++i)
+    by_name[functions[i].name].push_back(static_cast<int>(i));
 }
 
 void index_source(std::string_view path, std::string_view text,
                   CppIndex& index) {
-  Indexer indexer(normalize_path(path), index);
-  indexer.run(text);
+  index_source_lines(path, lex_lines(text), index);
 }
 
 void index_source_lines(std::string_view path, const std::vector<Line>& lines,
                         CppIndex& index) {
   Indexer indexer(normalize_path(path), index);
   indexer.run_lines(lines);
-}
-
-bool index_source_file(const std::string& path, CppIndex& index,
-                       std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (error) *error = "cannot open file: " + path;
-    return false;
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  index_source(path, buf.str(), index);
-  return true;
 }
 
 }  // namespace dsp::analysis

@@ -1,26 +1,13 @@
-// Lightweight C++ symbol index for the dsp-flow interprocedural analysis.
+// Lightweight C++ function index for the dsp-dataflow analysis.
 //
 // This is a lexical indexer built on cpp_lex's stripped token stream, not
-// a compiler front end: it recovers the facts the lock-flow and
-// determinism-flow rules need — function definitions (including lambdas
-// assigned to variables, which is how parallel_for callbacks are written
-// in this codebase), call sites with argument text, RAII lock regions
-// (MutexLock / scoped_lock / lock_guard / unique_lock plus manual
-// .lock()/.unlock()), DSP_REQUIRES/DSP_GUARDED_BY annotations, class
-// member declarations with their type text (used to narrow method-call
-// resolution), blocking-I/O and nondeterminism sinks, and writes to
-// member state (trailing-underscore naming convention).
-//
-// Identity model: locks and written members are plain strings, qualified
-// as "Class::name" when the name follows the member convention inside a
-// class context and left bare otherwise (file-scope mutexes in
-// fixtures). Known soundness limits (function pointers, virtual
-// dispatch, writes through local references) are documented in
-// DESIGN.md §13.
+// a compiler front end: it recovers where each function definition
+// (including lambdas assigned to variables) begins and ends, which is
+// all cfg.h needs to re-tokenize a body, plus the `dsp-tidy: allow(...)`
+// markers of every scanned line.
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,62 +16,13 @@
 
 namespace dsp::analysis {
 
-/// One call site inside a function body.
-struct CallSite {
-  std::string name;    ///< Simple callee name ("parallel_for").
-  std::string object;  ///< Receiver text ("pool_", "cv_", "" for free calls).
-  bool this_call = false;  ///< No receiver or explicit this-> (same object).
-  std::vector<std::string> args;  ///< Top-level argument texts (normalized).
-  int line = 0;
-  std::vector<std::string> held;  ///< Qualified lock ids held at the site.
-};
-
-/// One lock acquisition (RAII declaration or manual .lock()).
-struct LockAcq {
-  std::string lock;  ///< Qualified lock id ("EventLog::mu_", "mu_a").
-  int line = 0;
-  std::vector<std::string> held_before;  ///< Locks already held.
-};
-
-/// A blocking-I/O or nondeterminism token occurrence.
-struct SinkSite {
-  std::string token;  ///< Matched token, compacted ("fopen(", "time(").
-  int line = 0;
-};
-
-/// A write to member-convention state (name ending in '_').
-struct WriteSite {
-  std::string member;  ///< Qualified target ("Worker::counts_").
-  int line = 0;
-  bool under_lock = false;  ///< Some lock was held at the write.
-};
-
-/// A ThreadPool::parallel_for fan-out site.
-struct ParallelForSite {
-  std::string callback;  ///< Second-argument text (lambda variable name).
-  int line = 0;
-};
-
-/// One indexed function (or variable-assigned lambda, which the flow
-/// rules treat as a function whose caller is the pool).
+/// One indexed function (or variable-assigned lambda).
 struct FunctionInfo {
   std::string file;
-  std::string cls;   ///< Enclosing class, "" for free functions.
   std::string name;  ///< Simple name; lambdas use their variable name.
   std::string qual;  ///< "cls::name" or "name"; lambdas "parent::name".
   int begin_line = 0;
   int end_line = 0;
-  bool is_lambda = false;
-  std::string parent;  ///< Enclosing function qual for lambdas, else "".
-  std::vector<std::string> params;          ///< Parameter names, in order.
-  std::vector<std::string> requires_locks;  ///< DSP_REQUIRES arguments.
-
-  std::vector<CallSite> calls;
-  std::vector<LockAcq> acquisitions;
-  std::vector<SinkSite> io_sites;      ///< Empty for whitelisted emit paths.
-  std::vector<SinkSite> nondet_sites;  ///< Wall clock / libc random / unordered.
-  std::vector<WriteSite> member_writes;
-  std::vector<ParallelForSite> parallel_fors;
 };
 
 /// Whole-program index over every scanned file.
@@ -94,29 +32,14 @@ struct CppIndex {
   /// Simple name -> indices into `functions` (built by finalize()).
   std::map<std::string, std::vector<int>> by_name;
 
-  /// (class, member) -> declared type text, for receiver-type narrowing.
-  std::map<std::pair<std::string, std::string>, std::string> member_types;
-
-  /// Members carrying DSP_GUARDED_BY/DSP_PT_GUARDED_BY or an atomic /
-  /// thread_local type, keyed "Class::member"; `guarded_bare` holds the
-  /// unqualified names as a fallback for cross-file lookups.
-  std::set<std::string> guarded_members;
-  std::set<std::string> guarded_bare;
-
   /// file -> line -> suppressed rule ids (dsp-tidy: allow(...)).
   std::map<std::string, std::map<int, std::vector<std::string>>> allows;
-
-  /// DSP_REQUIRES seen on declarations (headers), merged into matching
-  /// definitions by finalize(): "cls::name" -> lock args.
-  std::map<std::string, std::vector<std::string>> decl_requires;
 
   /// True when a rule id is suppressed on `file`:`line`.
   bool allowed_at(const std::string& file, int line,
                   std::string_view rule) const;
 
-  /// Builds by_name, merges declaration annotations into definitions,
-  /// and resolves lambda callback names. Call once after indexing every
-  /// file.
+  /// Builds by_name. Call once after indexing every file.
   void finalize();
 };
 
@@ -125,14 +48,9 @@ struct CppIndex {
 void index_source(std::string_view path, std::string_view text,
                   CppIndex& index);
 
-/// Same indexing over pre-lexed lines (shared SourceCache — lex once,
-/// index once, analyze in every mode).
+/// Same indexing over pre-lexed lines (shared SourceCache — lex once for
+/// every mode).
 void index_source_lines(std::string_view path, const std::vector<Line>& lines,
                         CppIndex& index);
-
-/// Reads `path` from disk and indexes it. Returns false (and sets
-/// `error` when non-null) if the file cannot be read.
-bool index_source_file(const std::string& path, CppIndex& index,
-                       std::string* error = nullptr);
 
 }  // namespace dsp::analysis

@@ -1,5 +1,5 @@
 // Shared lexical front end of the source-level analyses (srclint's
-// line rules and dsp-flow's interprocedural passes).
+// line rules and dsp-dataflow's function index).
 //
 // Both scanners work on the same stripped view of a C++ file: comments,
 // string/char literal bodies and raw strings are blanked to spaces (so
@@ -44,9 +44,9 @@ std::string normalize_path(std::string_view path);
 /// at a component boundary, so "src" does not match "srclint".
 bool path_has(const std::string& path, std::string_view pat);
 
-/// Read-and-lex-once cache keyed by path. dsp_tidy's srclint, flow and
-/// dataflow modes all consume the same stripped line stream; running a
-/// three-mode scan through one SourceCache lexes each file exactly once
+/// Read-and-lex-once cache keyed by path. dsp_tidy's srclint and
+/// dataflow modes both consume the same stripped line stream; running a
+/// two-mode scan through one SourceCache lexes each file exactly once
 /// instead of once per mode.
 class SourceCache {
  public:

@@ -85,11 +85,6 @@ constexpr RuleInfo kCatalog[] = {
      "<random> engine or distribution: outputs are not specified "
      "bit-exactly across standard libraries — use util/rng",
      "§V reproducibility"},
-    {"D006", "nondet-reachable", Severity::kError,
-     "a core/sim entry point reaches a nondeterminism source (wall clock, "
-     "libc random, hash-order container) through its call chain, even "
-     "though no single function trips D000-D003 locally",
-     "§V reproducibility"},
     // ---- Source concurrency/robustness lint (dsp_tidy) -----------------
     {"C000", "unguarded-global-state", Severity::kError,
      "mutable file-scope state without a DSP_GUARDED_BY annotation (or "
@@ -114,28 +109,6 @@ constexpr RuleInfo kCatalog[] = {
     {"C005", "manual-lock", Severity::kError,
      "manual mutex lock()/unlock() instead of RAII (MutexLock / "
      "scoped_lock, Core Guidelines CP.20)",
-     "-"},
-    // ---- Interprocedural lock-flow analysis (dsp_tidy --flow) ----------
-    {"L000", "lock-order-inversion", Severity::kError,
-     "two call paths acquire the same pair of mutexes in opposite order; "
-     "running them concurrently can deadlock",
-     "-"},
-    {"L001", "recursive-acquire", Severity::kError,
-     "a call path re-acquires a non-recursive mutex it already holds; "
-     "self-deadlock on the same instance",
-     "-"},
-    {"L002", "io-under-lock-reachable", Severity::kError,
-     "a call made while a lock is held reaches blocking or console I/O in "
-     "a callee (the interprocedural form of C001)",
-     "-"},
-    {"L003", "parallel-for-unguarded-write", Severity::kError,
-     "a parallel_for callback reaches a write to shared member state that "
-     "carries no DSP_GUARDED_BY annotation and is not atomic; concurrent "
-     "chunks race",
-     "§IV Algorithm 1 determinism"},
-    {"L004", "requires-not-held", Severity::kError,
-     "a function annotated DSP_REQUIRES(mu) is called on a path that does "
-     "not hold mu",
      "-"},
     // ---- Value-range dataflow analysis (dsp_tidy --dataflow) -----------
     {"V000", "div-by-witnessed-zero", Severity::kError,

@@ -1,6 +1,6 @@
 // Rule catalog of the dsp-analyze / dsp-tidy static rule engines.
 //
-// Five rule families:
+// Seven rule families:
 //   W* — workload/DAG lint (pre-run): structural validity plus
 //        critical-path feasibility lower bounds.
 //   S* — schedule constraint check: a solver-produced placement is

@@ -56,15 +56,4 @@ bool collect_sources(const std::vector<std::string>& paths,
                      std::vector<std::string>& out,
                      std::string* error = nullptr);
 
-/// Expands a CMake compile_commands.json (CMAKE_EXPORT_COMPILE_COMMANDS)
-/// into the list of sources to scan: every entry's "file", plus the
-/// same-stem header next to it when one exists (the compilation database
-/// lists only translation units, but headers carry the thread-safety
-/// annotations and inline bodies the analyses need). Sorted and deduped
-/// like collect_sources. Returns false and sets `error` on unreadable or
-/// malformed databases.
-bool collect_sources_from_compdb(const std::string& compdb_path,
-                                 std::vector<std::string>& out,
-                                 std::string* error = nullptr);
-
 }  // namespace dsp::analysis

@@ -51,7 +51,7 @@ void DspPreemption::on_epoch(Engine& engine) {
   const std::size_t nodes = engine.node_count();
   victims_.resize(nodes);
   auto collect = [&](std::size_t k) {
-    victims_[k].clear();  // dsp-tidy: allow(L003) chunk k owns slot k
+    victims_[k].clear();  // chunk k owns slot k
     const auto node = static_cast<int>(k);
     if (engine.waiting(node).empty()) return;
     collect_preemptable(engine, node, victims_[k]);

@@ -252,7 +252,7 @@ Solution MilpSolver::solve(const Model& model) const {
     // the worker running index k is the only writer of its simplex and
     // of the k-indexed result arrays.
     if (workers != nullptr && wave.size() > 1)
-      workers->parallel_for(wave.size(), solve_slot);  // dsp-tidy: allow(L003)
+      workers->parallel_for(wave.size(), solve_slot);
     else
       for (std::size_t k = 0; k < wave.size(); ++k) solve_slot(k);
 

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -269,11 +270,12 @@ std::unique_ptr<EventLog> EventLog::from_env() {
 
 namespace {
 
+/// Non-finite payloads serialize as null; `null_as` is what null reads as.
 bool event_number(const json::Value& rec, const char* key, std::size_t line,
-                  double& out, std::string& error) {
+                  double& out, std::string& error, double null_as = 0.0) {
   const json::Value* v = rec.find(key);
   if (v != nullptr && v->kind == json::Value::Kind::kNull) {
-    out = 0.0;  // non-finite payloads serialize as null
+    out = null_as;
     return true;
   }
   if (v == nullptr || !v->is_number()) {
@@ -285,8 +287,30 @@ bool event_number(const json::Value& rec, const char* key, std::size_t line,
   return true;
 }
 
-std::uint32_t id_from(double v) {
-  return v < 0 ? ~std::uint32_t{0} : static_cast<std::uint32_t>(v);
+/// Reads integral field `key` into `out`. A double-to-integer cast is
+/// undefined outside the target's range, so null (non-finite), fractions
+/// and values `T` cannot hold are refused. With `unset_is_minus1` (the
+/// id fields), -1 reads as the ~0 "n/a" sentinel the writer serializes
+/// that way.
+template <typename T>
+bool event_int(const json::Value& rec, const char* key, std::size_t line,
+               T& out, std::string& error, bool unset_is_minus1 = false) {
+  double v = 0.0;
+  if (!event_number(rec, key, line, v, error, std::nan(""))) return false;
+  if (unset_is_minus1 && v == -1.0) {
+    out = static_cast<T>(~T{0});
+    return true;
+  }
+  // [lo, hi) is exact in double for every T up to 64 bits.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  if (!(v >= lo && v < hi) || std::trunc(v) != v) {
+    error = "line " + std::to_string(line) + ": \"" + key +
+            "\" out of range";
+    return false;
+  }
+  out = static_cast<T>(v);
+  return true;
 }
 
 }  // namespace
@@ -313,29 +337,18 @@ EventParseResult read_event_log(std::istream& in) {
           "line " + std::to_string(line_no) + ": missing or unknown \"kind\"";
       return result;
     }
-    double t = 0, seq = 0, epoch = 0, flags = 0, job = 0, task = 0, task2 = 0,
-           node = 0, node2 = 0;
-    if (!event_number(rec, "t", line_no, t, result.error) ||
-        !event_number(rec, "seq", line_no, seq, result.error) ||
-        !event_number(rec, "epoch", line_no, epoch, result.error) ||
-        !event_number(rec, "flags", line_no, flags, result.error) ||
-        !event_number(rec, "job", line_no, job, result.error) ||
-        !event_number(rec, "task", line_no, task, result.error) ||
-        !event_number(rec, "task2", line_no, task2, result.error) ||
-        !event_number(rec, "node", line_no, node, result.error) ||
-        !event_number(rec, "node2", line_no, node2, result.error) ||
+    if (!event_int(rec, "t", line_no, e.time, result.error) ||
+        !event_int(rec, "seq", line_no, e.seq, result.error) ||
+        !event_int(rec, "epoch", line_no, e.epoch, result.error) ||
+        !event_int(rec, "flags", line_no, e.flags, result.error) ||
+        !event_int(rec, "job", line_no, e.job, result.error, true) ||
+        !event_int(rec, "task", line_no, e.task, result.error, true) ||
+        !event_int(rec, "task2", line_no, e.task2, result.error, true) ||
+        !event_int(rec, "node", line_no, e.node, result.error) ||
+        !event_int(rec, "node2", line_no, e.node2, result.error) ||
         !event_number(rec, "a", line_no, e.a, result.error) ||
         !event_number(rec, "b", line_no, e.b, result.error))
       return result;
-    e.time = static_cast<SimTime>(t);
-    e.seq = static_cast<std::uint64_t>(seq);
-    e.epoch = static_cast<std::uint32_t>(epoch);
-    e.flags = static_cast<std::uint8_t>(flags);
-    e.job = id_from(job);
-    e.task = id_from(task);
-    e.task2 = id_from(task2);
-    e.node = static_cast<std::int16_t>(node);
-    e.node2 = static_cast<std::int16_t>(node2);
     result.events.push_back(e);
   }
   return result;

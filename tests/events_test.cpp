@@ -9,6 +9,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dsp_scheduler.h"
@@ -166,6 +167,54 @@ TEST(EventLogTest, ReaderNamesTheBadLine) {
   const obs::EventParseResult parsed = obs::read_event_log(in);
   EXPECT_FALSE(parsed.ok());
   EXPECT_NE(parsed.error.find("line 2"), std::string::npos) << parsed.error;
+}
+
+TEST(EventLogTest, ReaderRejectsOutOfRangeIntegers) {
+  // One well-formed record with `key` set to the raw JSON text `value`.
+  const auto record = [](const std::string& key, const std::string& value) {
+    std::string rec =
+        "{\"t\":1,\"seq\":0,\"epoch\":0,\"kind\":\"epoch\",\"flags\":0,"
+        "\"job\":-1,\"task\":-1,\"task2\":-1,\"node\":-1,\"node2\":-1,"
+        "\"a\":0,\"b\":0}\n";
+    const std::size_t at = rec.find("\"" + key + "\":") + key.size() + 3;
+    const std::size_t end = rec.find_first_of(",}", at);
+    return rec.replace(at, end - at, value);
+  };
+  const auto parse = [&](const std::string& key, const std::string& value) {
+    std::istringstream in(record("t", "0") + record(key, value));
+    return obs::read_event_log(in);
+  };
+
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"t", "1e19"},        {"t", "-1e19"},        {"t", "0.5"},
+      {"t", "1e999"},       {"seq", "1e30"},       {"seq", "-1"},
+      {"seq", "null"},      {"epoch", "-1"},       {"epoch", "4294967296"},
+      {"flags", "256"},     {"flags", "1.5"},      {"job", "-2"},
+      {"job", "4294967296"}, {"job", "null"},      {"task", "0.25"},
+      {"task2", "-1e9"},    {"node", "70000"},     {"node", "-32769"},
+      {"node2", "32768"}};
+  for (const auto& [key, value] : bad) {
+    const obs::EventParseResult parsed = parse(key, value);
+    EXPECT_FALSE(parsed.ok()) << key << "=" << value;
+    EXPECT_EQ(parsed.error, "line 2: \"" + key + "\" out of range")
+        << key << "=" << value;
+  }
+
+  // Range edges and the -1 "n/a" sentinel of the id fields still read.
+  std::istringstream in(record("node", "32767") + record("node2", "-32768") +
+                        record("job", "4294967294") +
+                        record("seq", "9007199254740992") +
+                        record("flags", "255"));
+  const obs::EventParseResult parsed = obs::read_event_log(in);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  ASSERT_EQ(parsed.events.size(), 5u);
+  EXPECT_EQ(parsed.events[0].node, 32767);
+  EXPECT_EQ(parsed.events[0].job, ~std::uint32_t{0});
+  EXPECT_EQ(parsed.events[0].task, kInvalidGid);
+  EXPECT_EQ(parsed.events[1].node2, -32768);
+  EXPECT_EQ(parsed.events[2].job, 4294967294u);
+  EXPECT_EQ(parsed.events[3].seq, std::uint64_t{1} << 53);
+  EXPECT_EQ(parsed.events[4].flags, 255);
 }
 
 // ---------------------------------------------------------------------

@@ -270,11 +270,28 @@ TEST(DspReportCliTest, ChromeRefusesTruncatedOrInvalidLog) {
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("valid node count"), std::string::npos) << r.output;
 
+  // A node id no int16 can hold: refused by the reader, not narrowed.
+  const std::string wide = tmp_path("chrome_wide_node.jsonl");
+  {
+    std::ofstream f(wide);
+    const std::size_t at = lines[1].find("\"node\":");
+    ASSERT_NE(at, std::string::npos);
+    f << lines[0] << "\n"
+      << lines[1].substr(0, at) << "\"node\":70000,"
+      << lines[1].substr(lines[1].find(',', at) + 1) << "\n";
+    for (std::size_t i = 2; i < lines.size(); ++i) f << lines[i] << "\n";
+  }
+  r = report("chrome " + wide + " " + out);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("line 2: \"node\" out of range"), std::string::npos)
+      << r.output;
+
   EXPECT_EQ(report("chrome " + log).exit_code, 2);  // usage: no output path
   std::remove(log.c_str());
   std::remove(headless.c_str());
   std::remove(cut.c_str());
   std::remove(huge.c_str());
+  std::remove(wide.c_str());
   std::remove(out.c_str());
 }
 

@@ -216,6 +216,10 @@ TEST(DspTidyCliTest, UsageAndIoErrorsExitTwo) {
   EXPECT_EQ(
       run_tidy(std::string(DSP_SRCLINT_FIXTURE_DIR) + " --rules Z999").exit_code,
       2);
+  // The interprocedural lock-flow mode and its compile_commands.json
+  // discovery were removed; both are unknown flags now.
+  EXPECT_EQ(run_tidy("--flow " + fixture("clean.cpp")).exit_code, 2);
+  EXPECT_EQ(run_tidy("--compdb compile_commands.json").exit_code, 2);
 }
 
 TEST(DspTidyCliTest, RulesListingShowsOnlySourcePacks) {
@@ -225,6 +229,9 @@ TEST(DspTidyCliTest, RulesListingShowsOnlySourcePacks) {
   EXPECT_NE(r.output.find("C005"), std::string::npos);
   EXPECT_EQ(r.output.find("W001"), std::string::npos) << r.output;
   EXPECT_EQ(r.output.find("S001"), std::string::npos) << r.output;
+  // No lock-flow (L*) rules and no D006 remain in the catalog.
+  EXPECT_EQ(r.output.find("\nL0"), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("D006"), std::string::npos) << r.output;
 }
 
 }  // namespace

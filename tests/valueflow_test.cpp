@@ -4,15 +4,13 @@
 // CFG builder produces pinned golden graphs for the structured control
 // flow it models, and inline `dsp-tidy: allow(ID)` comments suppress
 // findings. Plus black-box coverage of dsp_tidy --dataflow (exit codes,
-// --json via json_check, --baseline write/suppress round trip,
-// --list-rules).
+// --json via json_check, --list-rules).
 #include "analysis/valueflow.h"
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -193,6 +191,41 @@ TEST(ValueflowTest, SanitizingClampSilencesTaint) {
 // CFG golden tests
 // ---------------------------------------------------------------------------
 
+TEST(CppIndexTest, IndexesMethodsFreeFunctionsAndNamedLambdas) {
+  CppIndex index;
+  dsp::analysis::index_source("idx.cpp",
+                              "namespace ns {\n"
+                              "class Pool {\n"
+                              " public:\n"
+                              "  int size() const { return n_; }\n"
+                              "  void run();\n"
+                              "  int n_ = 0;\n"
+                              "};\n"
+                              "void Pool::run() {\n"
+                              "  auto body = [&](int k) {\n"
+                              "    n_ += k;\n"
+                              "  };\n"
+                              "  body(1);\n"
+                              "}\n"
+                              "int twice(int x) { return x + x; }  "
+                              "// dsp-tidy: allow(V003)\n"
+                              "}  // namespace ns\n",
+                              index);
+  index.finalize();
+  std::vector<std::string> got;
+  for (const auto& fn : index.functions)
+    got.push_back(fn.qual + "@" + std::to_string(fn.begin_line) + "-" +
+                  std::to_string(fn.end_line));
+  EXPECT_EQ(got, (std::vector<std::string>{"Pool::size@4-4", "Pool::run@8-13",
+                                           "Pool::run::body@9-11",
+                                           "twice@14-14"}));
+  ASSERT_EQ(index.by_name.count("body"), 1u);
+  EXPECT_EQ(index.by_name.at("body"), std::vector<int>{2});
+  EXPECT_TRUE(index.allowed_at("idx.cpp", 14, "V003"));
+  EXPECT_FALSE(index.allowed_at("idx.cpp", 14, "V000"));
+  EXPECT_FALSE(index.allowed_at("idx.cpp", 13, "V003"));
+}
+
 TEST(CfgTest, StraightLineBodyLandsInEntryBlock) {
   const Cfg cfg = cfg_of(
       "int twice(int x) {\n"
@@ -354,9 +387,12 @@ TEST(DspTidyDataflowCliTest, MissingFileExitsTwo) {
 }
 
 TEST(DspTidyDataflowCliTest, UnknownRuleExitsTwo) {
-  const CliResult r =
-      run_tidy("--dataflow " + fixture("clean.cpp") + " --rules V999");
-  EXPECT_EQ(r.exit_code, 2) << r.output;
+  // L003 and D006 belonged to the removed lock-flow family.
+  for (const char* id : {"V999", "L003", "D006"}) {
+    const CliResult r = run_tidy("--dataflow " + fixture("clean.cpp") +
+                                 " --rules " + id);
+    EXPECT_EQ(r.exit_code, 2) << id << "\n" << r.output;
+  }
 }
 
 TEST(DspTidyDataflowCliTest, ListRulesIncludesValueAndTaintFamilies) {
@@ -379,40 +415,9 @@ TEST(DspTidyDataflowCliTest, JsonOutputValidatesAndCarriesScanTime) {
   std::remove(json.c_str());
 }
 
-TEST(DspTidyDataflowCliTest, BaselineWritesThenSuppresses) {
-  const std::string baseline = ::testing::TempDir() + "valueflow_baseline.txt";
-  std::remove(baseline.c_str());
-
-  // First run: baseline absent -> findings recorded, run reports clean.
-  const CliResult wrote = run_tidy("--dataflow " +
-                                   fixture("v000_div_zero_witness.cpp") +
-                                   " --baseline " + baseline);
-  EXPECT_EQ(wrote.exit_code, 0) << wrote.output;
-  EXPECT_NE(wrote.output.find("wrote baseline"), std::string::npos)
-      << wrote.output;
-  std::ifstream in(baseline);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  ASSERT_TRUE(std::getline(in, line));
-  EXPECT_EQ(line.rfind("V000\t", 0), 0) << line;
-
-  // Second run: same findings are suppressed.
-  const CliResult again = run_tidy("--dataflow " +
-                                   fixture("v000_div_zero_witness.cpp") +
-                                   " --baseline " + baseline);
-  EXPECT_EQ(again.exit_code, 0) << again.output;
-
-  // A different fixture still reports: its findings are new.
-  const CliResult fresh = run_tidy("--dataflow " +
-                                   fixture("t000_tainted_index.cpp") +
-                                   " --baseline " + baseline);
-  EXPECT_EQ(fresh.exit_code, 1) << fresh.output;
-  std::remove(baseline.c_str());
-}
-
-TEST(DspTidyDataflowCliTest, ThreeModeScanOfSrcIsCleanAndShared) {
-  const CliResult r = run_tidy("--srclint --flow --dataflow " +
-                               std::string(DSP_SRC_DIR));
+TEST(DspTidyDataflowCliTest, TwoModeScanOfSrcIsCleanAndShared) {
+  const CliResult r =
+      run_tidy("--srclint --dataflow " + std::string(DSP_SRC_DIR));
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("clean"), std::string::npos) << r.output;
 }

@@ -14,16 +14,11 @@
 #   srclint  dsp_tidy self-scan of src/ (must be clean, --json validated
 #            by json_check) plus the seeded per-rule fixtures, which must
 #            each fail naming exactly their rule
-#   flow     dsp_tidy --flow interprocedural lock-order/determinism
-#            analysis: src/ must scan clean in under 5 seconds (--json
-#            validated by json_check), and the seeded lockflow fixtures
-#            must each fail naming exactly their rule
-#   dataflow dsp_tidy --dataflow value-range & taint analysis: the full
-#            three-mode scan of src/ must be clean in under 10 seconds
-#            (--json with scan.seconds validated by json_check), the
-#            seeded valueflow fixtures must each fail naming exactly
-#            their rule, and the --baseline write/suppress round trip
-#            must work
+#   dataflow dsp_tidy --dataflow value-range & taint analysis: the
+#            two-mode (--srclint --dataflow) scan of src/ must be clean
+#            in under 10 seconds (--json with scan.seconds validated by
+#            json_check), and the seeded valueflow fixtures must each
+#            fail naming exactly their rule
 #   threadsafety  clang++ build with -DDSP_THREAD_SAFETY=ON so the
 #            Clang Thread Safety Analysis annotations are checked as
 #            errors; skipped (with a notice) when clang++ is not
@@ -114,54 +109,22 @@ if ! skipped srclint; then
   rm -rf "$srclint_tmp"
 fi
 
-if ! skipped flow; then
-  banner "flow (dsp_tidy --flow interprocedural analysis)"
-  TIDY=build/tools/dsp_tidy
-  JSON_CHECK=build/tools/json_check
-  flow_tmp=$(mktemp -d)
-
-  echo "dsp_tidy --flow src/ (must be clean, and fast)"
-  flow_start=$(date +%s)
-  "$TIDY" --flow src/ --json "$flow_tmp/flow.json"
-  flow_elapsed=$(( $(date +%s) - flow_start ))
-  "$JSON_CHECK" "$flow_tmp/flow.json" analyzer input.kind diagnostics summary.error
-  if [ "$flow_elapsed" -ge 5 ]; then
-    echo "ci: flow scan took ${flow_elapsed}s (budget: < 5s)"; exit 1
-  fi
-  echo "flow scan clean in ${flow_elapsed}s"
-
-  # Seeded interprocedural fixtures must fail with exactly their rule.
-  for f in tests/fixtures/lockflow/[ld][0-9]*.cpp; do
-    base=$(basename "$f")
-    rule=$(echo "${base%%_*}" | tr '[:lower:]' '[:upper:]')
-    if "$TIDY" --flow "$f" >"$flow_tmp/seed.txt" 2>&1; then
-      echo "ci: $f unexpectedly scanned clean (wanted $rule)"; exit 1
-    fi
-    grep -q "$rule" "$flow_tmp/seed.txt" || { echo "ci: $f did not report $rule"; exit 1; }
-    echo "seeded $rule ok ($f)"
-  done
-
-  echo "dsp_tidy --flow tests/fixtures/lockflow/clean.cpp"
-  "$TIDY" --flow tests/fixtures/lockflow/clean.cpp >/dev/null
-  rm -rf "$flow_tmp"
-fi
-
 if ! skipped dataflow; then
   banner "dataflow (dsp_tidy --dataflow value-range & taint analysis)"
   TIDY=build/tools/dsp_tidy
   JSON_CHECK=build/tools/json_check
   df_tmp=$(mktemp -d)
 
-  echo "dsp_tidy --srclint --flow --dataflow src/ (must be clean, and fast)"
+  echo "dsp_tidy --srclint --dataflow src/ (must be clean, and fast)"
   df_start=$(date +%s)
-  "$TIDY" --srclint --flow --dataflow src/ --json "$df_tmp/dataflow.json"
+  "$TIDY" --srclint --dataflow src/ --json "$df_tmp/dataflow.json"
   df_elapsed=$(( $(date +%s) - df_start ))
   "$JSON_CHECK" "$df_tmp/dataflow.json" \
     analyzer input.kind diagnostics scan.seconds summary.error
   if [ "$df_elapsed" -ge 10 ]; then
-    echo "ci: three-mode scan took ${df_elapsed}s (budget: < 10s)"; exit 1
+    echo "ci: two-mode scan took ${df_elapsed}s (budget: < 10s)"; exit 1
   fi
-  echo "three-mode scan clean in ${df_elapsed}s"
+  echo "two-mode scan clean in ${df_elapsed}s"
 
   # Seeded value-range / taint fixtures must fail with exactly their rule.
   for f in tests/fixtures/valueflow/[vt][0-9]*.cpp; do
@@ -179,13 +142,6 @@ if ! skipped dataflow; then
 
   echo "dsp_tidy --dataflow tests/fixtures/valueflow/clean.cpp"
   "$TIDY" --dataflow tests/fixtures/valueflow/clean.cpp >/dev/null
-
-  echo "dsp_tidy --baseline round trip"
-  seed_any=$(ls tests/fixtures/valueflow/[vt][0-9]*.cpp | head -1)
-  "$TIDY" --dataflow "$seed_any" --baseline "$df_tmp/baseline.txt" >/dev/null
-  [ -s "$df_tmp/baseline.txt" ] || { echo "ci: baseline write produced no entries"; exit 1; }
-  "$TIDY" --dataflow "$seed_any" --baseline "$df_tmp/baseline.txt" >/dev/null \
-    || { echo "ci: baselined findings still reported"; exit 1; }
   rm -rf "$df_tmp"
 fi
 
