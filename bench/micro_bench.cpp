@@ -195,15 +195,14 @@ void BM_PriorityComputeJob(benchmark::State& state) {
   ep.period = kMaxTime / 4;  // never reschedule
   ep.epoch = kMaxTime / 4;
   Engine engine(ClusterSpec::ec2(4), std::move(jobs), sched, nullptr, ep);
-  // Schedule manually by invoking the period logic through run? Instead,
-  // compute priorities on the unstarted engine: states are kUnscheduled,
-  // which exercises the same recursion with zero-cost leaves.
+  // Rebuild the job's lines on the unstarted engine: states are
+  // kUnscheduled, which exercises the same Formula 12 walk and Formula 13
+  // leaf terms as a dirty job mid-run.
   DspParams params;
   DependencyPriority priority(params);
-  std::vector<double> out(engine.total_task_count());
   for (auto _ : state) {
-    priority.compute_job(engine, 0, out);
-    benchmark::DoNotOptimize(out.data());
+    priority.rebuild(engine, 0);
+    benchmark::DoNotOptimize(priority.at(0));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(engine.total_task_count()));
@@ -212,9 +211,9 @@ BENCHMARK(BM_PriorityComputeJob)->Arg(100)->Arg(1000);
 
 /// Runs the benchmark loop against a live mid-run engine: a preemption
 /// policy that, on one chosen epoch, times repeated compute_all calls.
-/// cold=true invalidates the incremental cache before every call (full
-/// recompute); cold=false leaves all jobs clean, timing the incremental
-/// skip path a second same-epoch call takes.
+/// cold=true invalidates the incremental state before every call (every
+/// job rebuilt); cold=false leaves all jobs clean, timing the per-job
+/// certificate check plus the running-leaf walk of a clean refresh.
 class ComputeAllBenchPolicy : public PreemptionPolicy {
  public:
   ComputeAllBenchPolicy(benchmark::State& state, bool cold)
@@ -223,11 +222,10 @@ class ComputeAllBenchPolicy : public PreemptionPolicy {
 
   void on_epoch(Engine& engine) override {
     if (++epoch_ != 5) return;  // mid-run: queues and running sets are live
-    std::vector<double> out;
-    const auto range = priority_.compute_all(engine, out);  // prime caches
+    const auto range = priority_.compute_all(engine);  // prime caches
     for (auto _ : state_) {
       if (cold_) priority_.invalidate();
-      benchmark::DoNotOptimize(priority_.compute_all(engine, out));
+      benchmark::DoNotOptimize(priority_.compute_all(engine));
     }
     state_.SetItemsProcessed(state_.iterations() *
                              static_cast<std::int64_t>(range.live_tasks));

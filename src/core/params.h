@@ -60,14 +60,13 @@ struct DspParams {
   double theta2 = 0.5;
 
   // ---- Execution (implementation knob, not in the paper) ----
-  /// Worker threads for the epoch hot path: per-job priority recomputes
-  /// and per-node preemptable-victim collection fan out across a pool
-  /// when > 1. 1 runs fully serial (no pool is created); <= 0 reads the
-  /// DSP_THREADS environment variable (default 1; malformed, zero or
-  /// negative values clamp to 1 with a logged warning — see
-  /// env_int_min). try_preempt mutations stay serial at any setting, so
-  /// priorities, preemption decisions and audit trails are bit-identical
-  /// regardless of the value.
+  /// Worker threads for per-node preemptable-victim collection in each
+  /// epoch, which fans out across a pool when > 1. 1 runs fully serial
+  /// (no pool is created); <= 0 reads the DSP_THREADS environment
+  /// variable (default 1; malformed, zero or negative values clamp to 1
+  /// with a logged warning — see env_int_min). The priority pass and
+  /// try_preempt mutations stay serial at any setting, so preemption
+  /// decisions and audit trails are bit-identical regardless of the value.
   int threads = 0;
 
   // ---- Straggler mitigation (§VI future work) ----

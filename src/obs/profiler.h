@@ -8,7 +8,7 @@
 // Instrumented hot paths (see DESIGN.md "Observability"):
 //   lp.simplex_solve_s       one simplex solve
 //   lp.milp_solve_s          one branch-and-bound solve
-//   priority.compute_all_s   one Formula 12/13 recomputation over all jobs
+//   priority.compute_all_s   one per-epoch Formula 12/13 priority refresh
 //   engine.epoch_s           one online-preemption epoch tick
 //   sched.round_s            one offline scheduling round
 //   engine.run_s             one whole simulation run

@@ -9,6 +9,7 @@
 // layer stays independently testable.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <vector>
@@ -46,9 +47,8 @@ struct JobRt {
   bool finished = false;
 };
 
-/// Per-job bookkeeping for the incremental priority engine. The lazy
-/// members are rebuilt inside const accessors; distinct jobs own distinct
-/// entries, so parallel per-job priority computation never races on them.
+/// Per-job bookkeeping for the incremental priority engine. The live
+/// order is built on first use inside a const accessor, hence mutable.
 struct JobPrioCache {
   std::uint64_t version = 1;            // see priority_version()
   mutable std::vector<Gid> live_rtopo;  // unfinished tasks, reverse topo
@@ -121,18 +121,19 @@ class TaskRuntime {
   }
   /// Marks `g`'s job dirty for the priority engine.
   void touch_priority(Gid g) { ++prio_cache_[task_job_[g]].version; }
-  /// Same, plus invalidates the job's live-topo cache (a task finished).
+  /// Same, for a task that just finished: drops it from the job's cached
+  /// live-topo order (removing one entry keeps the rest in order).
   void touch_priority_topo(Gid g) {
     JobPrioCache& c = prio_cache_[task_job_[g]];
     ++c.version;
-    c.topo_valid = false;
+    if (c.topo_valid) std::erase(c.live_rtopo, g);
   }
   /// Marks every job dirty (node events move t_rem across jobs).
   void touch_priority_all() {
     for (JobPrioCache& c : prio_cache_) ++c.version;
   }
   /// The job's unfinished tasks in reverse topological order as gids.
-  /// Cached; rebuilt lazily after a task of the job finishes.
+  /// Built on first use; a finishing task is erased from it.
   const std::vector<Gid>& live_reverse_topo(JobId j) const;
 
  private:

@@ -8,6 +8,8 @@
 
 #include <array>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 namespace {
@@ -64,6 +66,26 @@ TEST(DspAnalyzeCliTest, SeededScheduleViolations) {
   expect_rule_fires("schedule " + fixture("s004_unplaced_task.json"), "S004");
   expect_rule_fires("schedule " + fixture("s005_makespan_understated.json"),
                     "S005");
+}
+
+TEST(DspAnalyzeCliTest, OutOfRangeScheduleIntegersAreMalformed) {
+  // A value an int cannot hold is a malformed schedule (S000), never a
+  // silently wrapped machine index or preemption count.
+  std::ifstream in(fixture("clean_schedule.json"));
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string doc = text.str();
+  const std::string from = "\"n_preempt\": 1";
+  ASSERT_NE(doc.find(from), std::string::npos);
+  doc.replace(doc.find(from), from.size(), "\"n_preempt\": 1e30");
+  const std::string path = ::testing::TempDir() + "n_preempt_1e30.json";
+  std::ofstream(path) << doc;
+  const CliResult r = run_cli("schedule " + path);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("S000"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("\"n_preempt\" out of range"), std::string::npos)
+      << r.output;
+  std::remove(path.c_str());
 }
 
 TEST(DspAnalyzeCliTest, SeededAuditViolations) {

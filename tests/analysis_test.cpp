@@ -4,6 +4,7 @@
 // and preemption artifacts must analyze clean.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <sstream>
 
 #include "analysis/analyzer.h"
@@ -245,6 +246,46 @@ TEST(ScheduleCheckTest, JsonRoundTripPreservesTheDocument) {
   EXPECT_DOUBLE_EQ(back.problem.tasks[1].deadline_s, 25.0);
   // An unset deadline must stay disabled (infinity), not become a number.
   EXPECT_FALSE(std::isfinite(back.problem.tasks[0].deadline_s));
+}
+
+/// clean_schedule.json with the first occurrence of `from` replaced by
+/// `to`, parsed; returns the parse error ("" when it parsed).
+std::string parse_edited_clean_schedule(const std::string& from,
+                                        const std::string& to) {
+  std::ifstream in(std::string(DSP_FIXTURE_DIR) + "/clean_schedule.json");
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string doc_text = text.str();
+  const std::size_t at = doc_text.find(from);
+  if (at == std::string::npos) return "fixture lacks " + from;
+  doc_text.replace(at, from.size(), to);
+  std::istringstream edited(doc_text);
+  analysis::ScheduleDoc doc;
+  std::string error;
+  if (analysis::read_schedule_json(edited, doc, &error)) return "";
+  return error.empty() ? "refused without a message" : error;
+}
+
+TEST(ScheduleCheckTest, IntegerFieldsOutsideIntAreRefused) {
+  EXPECT_EQ(parse_edited_clean_schedule("", ""), "");  // the fixture parses
+  // Each would otherwise be cast to int unchecked: 1e30 read as clean,
+  // 2^32 wrapped to machine -2147483648.
+  const std::string n_preempt = "\"n_preempt\": 1";
+  EXPECT_EQ(parse_edited_clean_schedule(n_preempt, "\"n_preempt\": 1e30"),
+            "task 3: \"n_preempt\" out of range");
+  EXPECT_EQ(parse_edited_clean_schedule(n_preempt, "\"n_preempt\": 1.5"),
+            "task 3: \"n_preempt\" out of range");
+  EXPECT_EQ(parse_edited_clean_schedule("\"machine\": 1",
+                                        "\"machine\": 4294967296"),
+            "task 2: \"machine\" out of range");
+  EXPECT_EQ(parse_edited_clean_schedule("\"machine\": 0", "\"machine\": 0.5"),
+            "task 0: \"machine\" out of range");
+  EXPECT_EQ(parse_edited_clean_schedule("[1, 2]", "[1.5, 2]"),
+            "task 3: \"parents\" out of range");
+  // In-range values that are merely wrong still parse and reach the S
+  // rules: machine -1 is an unplaced task (S004), not a parse error.
+  EXPECT_EQ(parse_edited_clean_schedule("\"machine\": 0", "\"machine\": -1"),
+            "");
 }
 
 TEST(ScheduleCheckTest, SolverOutputAnalyzesClean) {

@@ -1,8 +1,7 @@
-// Determinism guarantees of the incremental/parallel epoch hot path:
-// priorities from the incremental compute_all (with and without a thread
-// pool) must be bit-identical to a serial full recompute, and the whole
-// preemption audit trail and execution timeline must be independent of
-// the threads knob.
+// Determinism guarantees of the incremental epoch hot path: priorities
+// from the incremental compute_all must be bit-identical to a full
+// recompute, and the whole preemption audit trail and execution timeline
+// must be independent of the threads knob.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,7 +19,6 @@
 #include "sim/failures.h"
 #include "test_util.h"
 #include "trace/workload.h"
-#include "util/thread_pool.h"
 
 namespace dsp {
 namespace {
@@ -42,58 +40,55 @@ EngineParams fast_params() {
 }
 
 // ---------------------------------------------------------------------
-// Incremental + parallel compute_all vs serial full recompute
+// Incremental compute_all vs full recompute
 // ---------------------------------------------------------------------
 
-/// Each epoch, computes priorities three ways — serial full recompute
-/// (invalidate() before every call), incremental, and incremental over a
-/// pool — plus a same-timestamp repeat that exercises the all-clean skip
-/// path, and requires exact equality across all of them.
+/// Each epoch, computes priorities two ways — full recompute (invalidate()
+/// before every call) and incremental — plus a same-timestamp repeat that
+/// exercises the all-clean path, and requires exact equality across all
+/// of them. Exact, because a job's lines depend on its state only, never
+/// on when they were rebuilt.
 class DualProbe : public PreemptionPolicy {
  public:
   explicit DualProbe(const DspParams& params)
-      : reference_(params), incremental_(params), pooled_(params), pool_(3) {
-    pooled_.set_thread_pool(&pool_);
-  }
+      : reference_(params), incremental_(params) {}
   const char* name() const override { return "DualProbe"; }
 
   void on_epoch(Engine& engine) override {
     reference_.invalidate();  // force the full-recompute reference path
-    const auto r0 = reference_.compute_all(engine, ref_out_);
-    const auto r1 = incremental_.compute_all(engine, inc_out_);
-    const auto r2 = pooled_.compute_all(engine, pool_out_);
+    const auto r0 = reference_.compute_all(engine);
+    const auto r1 = incremental_.compute_all(engine);
     ++epochs;
-    // operator== on vector<double> is exact element equality; priorities
-    // are never NaN (t_rem is clamped), so this is bit-for-bit.
-    if (inc_out_ != ref_out_) ++incremental_mismatches;
-    if (pool_out_ != ref_out_) ++parallel_mismatches;
+    // Exact comparison: priorities are never NaN (t_rem is clamped), so
+    // this is bit-for-bit.
+    if (!same_priorities(engine)) ++incremental_mismatches;
     if (r1.min_p != r0.min_p || r1.max_p != r0.max_p ||
         r1.live_tasks != r0.live_tasks)
       ++range_mismatches;
-    if (r2.min_p != r0.min_p || r2.max_p != r0.max_p ||
-        r2.live_tasks != r0.live_tasks)
-      ++range_mismatches;
     // Repeat at the same timestamp with no intervening events: every job
-    // is clean, so this must take the skip path and change nothing.
-    const auto r3 = incremental_.compute_all(engine, inc_out_);
-    if (inc_out_ != ref_out_ || r3.live_tasks != r0.live_tasks)
+    // is clean, so this must rebuild nothing and change nothing.
+    const std::uint64_t rebuilds = incremental_.rebuilds();
+    const auto r3 = incremental_.compute_all(engine);
+    if (!same_priorities(engine) || r3.live_tasks != r0.live_tasks ||
+        r3.min_p != r0.min_p || r3.max_p != r0.max_p ||
+        incremental_.rebuilds() != rebuilds)
       ++skip_path_mismatches;
   }
 
   int epochs = 0;
   int incremental_mismatches = 0;
-  int parallel_mismatches = 0;
   int range_mismatches = 0;
   int skip_path_mismatches = 0;
 
  private:
+  bool same_priorities(const Engine& engine) const {
+    for (Gid g = 0; g < engine.total_task_count(); ++g)
+      if (incremental_.at(g) != reference_.at(g)) return false;
+    return true;
+  }
+
   DependencyPriority reference_;
   DependencyPriority incremental_;
-  DependencyPriority pooled_;
-  ThreadPool pool_;
-  std::vector<double> ref_out_;
-  std::vector<double> inc_out_;
-  std::vector<double> pool_out_;
 };
 
 TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
@@ -106,7 +101,6 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
   EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
   ASSERT_GT(probe.epochs, 10);
   EXPECT_EQ(probe.incremental_mismatches, 0);
-  EXPECT_EQ(probe.parallel_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
   EXPECT_EQ(probe.skip_path_mismatches, 0);
 }
@@ -126,7 +120,6 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
   engine.run();
   ASSERT_GT(probe.epochs, 10);
   EXPECT_EQ(probe.incremental_mismatches, 0);
-  EXPECT_EQ(probe.parallel_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
   EXPECT_EQ(probe.skip_path_mismatches, 0);
 }
