@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -287,11 +286,10 @@ bool event_number(const json::Value& rec, const char* key, std::size_t line,
   return true;
 }
 
-/// Reads integral field `key` into `out`. A double-to-integer cast is
-/// undefined outside the target's range, so null (non-finite), fractions
-/// and values `T` cannot hold are refused. With `unset_is_minus1` (the
-/// id fields), -1 reads as the ~0 "n/a" sentinel the writer serializes
-/// that way.
+/// Reads integral field `key` into `out`. Null (non-finite), fractions
+/// and values `T` cannot hold are refused (json::fits_integer). With
+/// `unset_is_minus1` (the id fields), -1 reads as the ~0 "n/a" sentinel
+/// the writer serializes that way.
 template <typename T>
 bool event_int(const json::Value& rec, const char* key, std::size_t line,
                T& out, std::string& error, bool unset_is_minus1 = false) {
@@ -301,10 +299,7 @@ bool event_int(const json::Value& rec, const char* key, std::size_t line,
     out = static_cast<T>(~T{0});
     return true;
   }
-  // [lo, hi) is exact in double for every T up to 64 bits.
-  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
-  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
-  if (!(v >= lo && v < hi) || std::trunc(v) != v) {
+  if (!json::fits_integer<T>(v)) {
     error = "line " + std::to_string(line) + ": \"" + key +
             "\" out of range";
     return false;

@@ -8,6 +8,8 @@
 // mutation — parse, inspect, discard.
 #pragma once
 
+#include <cmath>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -45,6 +47,18 @@ struct Value {
 /// containers nested deeper than 256 levels are rejected (the parser
 /// recurses, so unbounded nesting would exhaust the stack).
 bool parse(std::string_view text, Value& out, std::string* error = nullptr);
+
+/// True when `v` is integral and within `T`'s range, i.e. when
+/// static_cast<T>(v) is defined: a double-to-integer cast is undefined
+/// outside the target's range, so readers refuse any other number rather
+/// than cast it. False for NaN and infinities.
+template <typename T>
+bool fits_integer(double v) {
+  // [lo, hi) is exact in double for every T up to 64 bits.
+  const double hi = std::ldexp(1.0, std::numeric_limits<T>::digits);
+  const double lo = std::numeric_limits<T>::is_signed ? -hi : 0.0;
+  return v >= lo && v < hi && std::trunc(v) == v;
+}
 
 }  // namespace dsp::obs::json
 

@@ -103,18 +103,24 @@ TEST(IntegrationTest, DspHasZeroDisordersBaselinesMayNot) {
 }
 
 TEST(IntegrationTest, DeterministicEndToEnd) {
-  auto run = [] {
-    DspSystem dsp;
-    const JobSet jobs = WorkloadGenerator(bench_like_config(8), 233).generate();
+  const JobSet jobs = WorkloadGenerator(bench_like_config(8), 233).generate();
+  auto run = [&jobs](DspSystem& dsp) {
     return dsp.run(ClusterSpec::ec2(5), jobs, medium_params());
   };
-  const RunMetrics a = run();
-  const RunMetrics b = run();
-  EXPECT_EQ(a.makespan, b.makespan);
-  EXPECT_EQ(a.preemptions, b.preemptions);
-  EXPECT_EQ(a.disorders, b.disorders);
-  EXPECT_EQ(a.tasks_finished, b.tasks_finished);
-  EXPECT_EQ(a.job_waiting_s, b.job_waiting_s);
+  DspSystem first, second;
+  const RunMetrics a = run(first);
+  const RunMetrics b = run(second);
+  // `first` again: its new Engine is built where the last one was, with
+  // the same job and task counts, and must not inherit that run's
+  // priorities or adapted delta.
+  const RunMetrics c = run(first);
+  for (const RunMetrics* m : {&b, &c}) {
+    EXPECT_EQ(a.makespan, m->makespan);
+    EXPECT_EQ(a.preemptions, m->preemptions);
+    EXPECT_EQ(a.disorders, m->disorders);
+    EXPECT_EQ(a.tasks_finished, m->tasks_finished);
+    EXPECT_EQ(a.job_waiting_s, m->job_waiting_s);
+  }
 }
 
 TEST(IntegrationTest, DspMeetsDeadlinesUnderLightLoad) {

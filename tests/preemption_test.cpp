@@ -2,9 +2,13 @@
 // the Amoeba/Natjam/SRPT baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "baselines/preempt_baselines.h"
 #include "core/dsp_system.h"
 #include "core/preemption.h"
+#include "obs/events.h"
 #include "test_util.h"
 #include "trace/workload.h"
 
@@ -139,6 +143,30 @@ TEST(DspPreemptionTest, AdaptiveDeltaStaysInBounds) {
   run_policy(&dsp, 10, 131);
   EXPECT_GE(dsp.current_delta(), params.delta_min);
   EXPECT_LE(dsp.current_delta(), params.delta_max);
+}
+
+TEST(DspPreemptionTest, AdaptiveDeltaRestartsEachRun) {
+  // The adapted delta is per-run state: a policy kept for a second run
+  // adapts from params.delta again, not from where the first run left it.
+  DspParams params;
+  params.adaptive_delta = true;
+  DspPreemption dsp(params);
+  for (int run = 0; run < 2; ++run) {
+    obs::EventLog log;
+    DspScheduler sched;
+    Engine engine(tight_cluster(), contended_workload(10, 131), sched, &dsp,
+                  fast_params());
+    engine.set_event_log(&log);
+    engine.run();
+    const std::vector<obs::Event> events = log.snapshot();
+    const auto first = std::find_if(
+        events.begin(), events.end(), [](const obs::Event& e) {
+          return e.kind == obs::EventKind::kDeltaAdapt;
+        });
+    ASSERT_NE(first, events.end()) << "run " << run;
+    EXPECT_EQ(first->a, params.delta) << "run " << run;
+    EXPECT_NE(dsp.current_delta(), params.delta) << "run " << run;
+  }
 }
 
 TEST(DspPreemptionTest, AdaptiveDeltaShrinksWhenNothingPreempts) {
