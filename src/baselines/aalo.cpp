@@ -49,22 +49,21 @@ std::vector<TaskPlacement> AaloScheduler::schedule(
 
 Gid AaloScheduler::select_next(int node, Engine& engine,
                                const std::vector<std::uint8_t>& excluded) {
-  const Resources& avail = engine.available(node);
   Gid best = kInvalidGid;
   int best_level = options_.queue_count;
-  // The waiting queue is already FIFO (planned_start order), so the first
-  // qualifying task at the lowest level wins.
-  for (Gid g : engine.waiting(node)) {
-    if (excluded[g]) continue;
-    if (!engine.is_ready(g)) continue;
-    if (!avail.fits(engine.task_info(g).demand)) continue;
-    const int level = queue_level(engine.job_serviced_mi(engine.job_of(g)));
-    if (level < best_level) {
-      best_level = level;
-      best = g;
-      if (level == 0) break;  // cannot do better
-    }
-  }
+  // The ready index is already FIFO (planned_start order), so the first
+  // runnable, fitting task at the lowest level wins.
+  engine.ready_waiting(node).for_each_fitting(
+      engine.available(node), [&](Gid g) {
+        if (excluded[g]) return false;
+        const int level =
+            queue_level(engine.job_serviced_mi(engine.job_of(g)));
+        if (level < best_level) {
+          best_level = level;
+          best = g;
+        }
+        return level == 0;  // cannot do better
+      });
   return best;
 }
 

@@ -23,15 +23,31 @@ class QueueScanPreemption : public PreemptionPolicy {
   void on_epoch(Engine& engine) override;
 
  protected:
+  /// A running task offered for eviction, with the keys its policy ranks
+  /// it by. They are computed once per node and epoch: now() and node
+  /// rates are fixed inside on_epoch, and a victim's state changes only
+  /// when it is preempted, which drops it from the list.
+  struct Victim {
+    Gid g = kInvalidGid;
+    SimTime remaining = 0;  ///< Engine::remaining_time(g)
+    double priority = 0.0;  ///< policy-defined (SRPT's priority)
+  };
+
+  /// Computes `running`'s keys; the default fills the remaining time only.
+  virtual Victim make_victim(const Engine& engine, Gid running) const {
+    return {running, engine.remaining_time(running), 0.0};
+  }
+
   /// Ascending victim order: the first victim in this order is tried first.
   /// Return value: strict-weak-order "a is a better victim than b".
-  virtual bool victim_order(const Engine& engine, Gid a, Gid b) const = 0;
+  virtual bool victim_order(const Engine& engine, const Victim& a,
+                            const Victim& b) const = 0;
 
   /// Whether `waiting` may preempt `victim` (priority comparison only; the
   /// engine enforces mechanics, and dependency is deliberately NOT checked
   /// — these baselines neglect it).
   virtual bool should_preempt(const Engine& engine, Gid waiting,
-                              Gid victim) const = 0;
+                              const Victim& victim) const = 0;
 
   /// Whether this waiting task participates at all (Natjam restricts the
   /// preemptors to production-job tasks).
@@ -48,6 +64,10 @@ class QueueScanPreemption : public PreemptionPolicy {
     (void)running;
     return true;
   }
+
+ private:
+  std::vector<Victim> victims_;  // per-node scratch
+  std::vector<Gid> waiting_;     // per-node queue snapshot
 };
 
 /// Amoeba (Ananthanarayanan et al., SoCC 2012): the task consuming the most
@@ -61,9 +81,10 @@ class AmoebaPolicy : public QueueScanPreemption {
   }
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
+  bool victim_order(const Engine& engine, const Victim& a,
+                    const Victim& b) const override;
   bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+                      const Victim& victim) const override;
 };
 
 /// Natjam (Cho et al., SoCC 2013): production jobs preempt research jobs;
@@ -78,9 +99,10 @@ class NatjamPolicy : public QueueScanPreemption {
   }
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
+  bool victim_order(const Engine& engine, const Victim& a,
+                    const Victim& b) const override;
   bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+                      const Victim& victim) const override;
   bool eligible_preemptor(const Engine& engine, Gid waiting) const override;
   bool eligible_victim(const Engine& engine, Gid running) const override;
 };
@@ -101,14 +123,21 @@ class SrptPolicy : public QueueScanPreemption {
   }
 
   /// The SRPT priority of a task given current engine state.
-  double priority(const Engine& engine, Gid g) const;
+  double priority(const Engine& engine, Gid g) const {
+    return priority(engine, g, engine.remaining_time(g));
+  }
 
  protected:
-  bool victim_order(const Engine& engine, Gid a, Gid b) const override;
+  Victim make_victim(const Engine& engine, Gid running) const override;
+  bool victim_order(const Engine& engine, const Victim& a,
+                    const Victim& b) const override;
   bool should_preempt(const Engine& engine, Gid waiting,
-                      Gid victim) const override;
+                      const Victim& victim) const override;
 
  private:
+  /// The priority of `g` whose remaining time is `remaining`.
+  double priority(const Engine& engine, Gid g, SimTime remaining) const;
+
   double alpha_ = 0.5;  ///< Weight of waiting time (Table II).
   double beta_ = 1.0;   ///< Weight of remaining time (Table II).
 };

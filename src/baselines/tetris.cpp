@@ -69,17 +69,24 @@ Gid TetrisScheduler::select_next(int node, Engine& engine,
       engine.cluster().node(static_cast<std::size_t>(node)).capacity;
   Gid best = kInvalidGid;
   double best_score = -1.0;
-  for (Gid g : engine.waiting(node)) {
-    if (excluded[g]) continue;
-    if (engine.launch_blocked(g)) continue;  // failed input check earlier
+  auto consider = [&](Gid g) {
+    if (excluded[g]) return false;
+    if (engine.launch_blocked(g)) return false;  // failed input check earlier
     const Resources& demand = engine.task_info(g).demand;
-    if (!avail.fits(demand)) continue;
-    if (dep_ == Dependency::kSimple && !engine.is_ready(g)) continue;
+    if (!avail.fits(demand)) return false;
     const double score = alignment(avail, demand, cap);
     if (score > best_score) {
       best_score = score;
       best = g;
     }
+    return false;
+  };
+  // W/SimDep only launches ready, fitting tasks, which the ready index
+  // finds; W/oDep is dependency-blind and scans the whole queue.
+  if (dep_ == Dependency::kSimple) {
+    engine.ready_waiting(node).for_each_fitting(avail, consider);
+  } else {
+    for (Gid g : engine.waiting(node)) consider(g);
   }
   return best;
 }

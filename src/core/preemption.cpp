@@ -30,10 +30,6 @@ void DspPreemption::collect_preemptable(const Engine& engine, int node,
   for (Gid r : engine.running(node))
     if (engine.allowable_waiting_time(r) > engine.params().epoch)
       out.push_back(r);
-  std::sort(out.begin(), out.end(), [this](Gid a, Gid b) {
-    const double pa = priority_.at(a), pb = priority_.at(b);
-    return pa != pb ? pa < pb : a < b;
-  });
 }
 
 void DspPreemption::on_epoch(Engine& engine) {
@@ -45,11 +41,7 @@ void DspPreemption::on_epoch(Engine& engine) {
   }
   if (params_.straggler_mitigation) mitigate_stragglers(engine);
 
-  const auto range = priority_.compute_all(engine);
-  if (range.live_tasks == 0) return;
-  const double pbar = range.mean_neighbor_gap();
-
-  // Victim collection reads only engine state and the priority snapshot,
+  // Victims first: preemptability reads engine state, never a priority,
   // so the per-node scans fan out across the pool; the mutating passes
   // below stay serial in ascending node order, which keeps Algorithm-1
   // semantics and the audit trail deterministic at any thread count.
@@ -67,6 +59,21 @@ void DspPreemption::on_epoch(Engine& engine) {
   } else {
     for (std::size_t k = 0; k < nodes; ++k) collect(k);
   }
+  // Without a victim no pass runs, adapt_delta would see nothing
+  // considered, and no priority is read: skip the priority pass. Its lines
+  // are anchored at job arrival, so the next refresh catches up exactly.
+  if (std::all_of(victims_.begin(), victims_.end(),
+                  [](const std::vector<Gid>& v) { return v.empty(); }))
+    return;
+
+  const auto range = priority_.compute_all(engine);
+  if (range.live_tasks == 0) return;
+  const double pbar = range.mean_neighbor_gap();
+  for (std::vector<Gid>& preemptable : victims_)
+    std::sort(preemptable.begin(), preemptable.end(), [this](Gid a, Gid b) {
+      const double pa = priority_.at(a), pb = priority_.at(b);
+      return pa != pb ? pa < pb : a < b;
+    });
 
   std::uint64_t considered = 0, preempted = 0;
   for (std::size_t k = 0; k < nodes; ++k) {
@@ -106,13 +113,13 @@ obs::PreemptDecision DspPreemption::make_decision(int node, Gid w) const {
 
 void DspPreemption::urgent_pass(Engine& engine, int node,
                                 std::vector<Gid>& preemptable, double pbar) {
-  // Snapshot into the reusable buffer: try_preempt mutates the waiting
-  // queue, and a fresh vector per node per epoch is allocator churn.
-  engine.waiting_snapshot(node, waiting_scratch_);
+  // DSP never launches unready tasks, so only the ready index is scanned.
+  // Snapshot it into the reusable buffer: try_preempt mutates the queue,
+  // and a fresh vector per node per epoch is allocator churn.
+  engine.ready_waiting(node).copy_to(waiting_scratch_);
   for (Gid w : waiting_scratch_) {
     const TaskState s = engine.state(w);
     if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;
-    if (!engine.is_ready(w)) continue;  // DSP never launches unready tasks
     // Urgent: the deadline is close (t^a <= epsilon) but still salvageable
     // (t^a >= 0) — preempting for a task that can no longer meet its
     // deadline buys nothing — or the task has waited beyond tau.
@@ -275,7 +282,8 @@ void DspPreemption::mitigate_stragglers(Engine& engine) const {
         engine.migrate_task(g, dst);
       }
     }
-    const std::vector<Gid> waiting = engine.waiting(node);
+    std::vector<Gid> waiting;
+    engine.waiting_snapshot(node, waiting);
     for (Gid g : waiting) {
       const TaskState s = engine.state(g);
       if (s != TaskState::kWaiting && s != TaskState::kSuspended) continue;

@@ -69,9 +69,8 @@ class DspPreemption : public PreemptionPolicy {
   void mitigate_stragglers(Engine& engine) const;
 
   /// Collects `node`'s preemptable running tasks (allowable waiting time
-  /// beyond the epoch) into `out`, sorted ascending by priority. Reads
-  /// engine state and the priority snapshot only — safe to fan out across
-  /// nodes.
+  /// beyond the epoch) into `out`, unsorted. Reads engine state only —
+  /// safe to fan out across nodes, and no priority is needed yet.
   void collect_preemptable(const Engine& engine, int node,
                            std::vector<Gid>& out) const;
 

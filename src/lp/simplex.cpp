@@ -23,6 +23,13 @@ constexpr double kDualFeasTol = 1e-7;
 /// Smallest acceptable pivot element during warm refactorization.
 constexpr double kPivotTol = 1e-8;
 
+/// Copies `n` doubles. A model without rows has empty tableaux whose
+/// data() may be null, and memcpy from or to null is undefined even for
+/// zero bytes.
+void copy_doubles(double* dst, const double* src, std::size_t n) {
+  if (n > 0) std::memcpy(dst, src, n * sizeof(double));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------
@@ -497,7 +504,7 @@ bool BoundedSimplex::try_warm_start(const Basis& warm) {
   }
 
   // Fresh tableau + rhs; artificial columns for dead rows.
-  std::memcpy(tab_.data(), a0_.data(), m_ * width_ * sizeof(double));
+  copy_doubles(tab_.data(), a0_.data(), m_ * width_);
   setup_rhs_ = b0_;
   std::vector<double>& rhs = setup_rhs_;
   for (std::size_t i = 0; i < m_; ++i)
@@ -596,7 +603,7 @@ void BoundedSimplex::save_prev_state(const Basis& warm) {
 /// (bounds usually changed). The snapshot stays valid for further
 /// restores.
 void BoundedSimplex::restore_prev_state() {
-  std::memcpy(tab_.data(), prev_tab_.data(), tab_.size() * sizeof(double));
+  copy_doubles(tab_.data(), prev_tab_.data(), tab_.size());
   status_.assign(prev_status_.begin(), prev_status_.end());
   basic_.assign(prev_basic_.begin(), prev_basic_.end());
   n_art_ = prev_nart_;
@@ -661,7 +668,7 @@ void BoundedSimplex::cold_start() {
     status_[nv_ + i] = VarStatus::kBasic;
     basic_[i] = static_cast<std::int32_t>(nv_ + i);
   }
-  std::memcpy(tab_.data(), a0_.data(), m_ * width_ * sizeof(double));
+  copy_doubles(tab_.data(), a0_.data(), m_ * width_);
   compute_beta(b0_);
 
   // Rows whose slack value lands outside the slack bounds get a basic

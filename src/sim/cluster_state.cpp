@@ -1,8 +1,5 @@
 #include "sim/cluster_state.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace dsp {
 
 void ClusterState::init(const ClusterSpec& spec) {
@@ -15,21 +12,20 @@ void ClusterState::init(const ClusterSpec& spec) {
 }
 
 void ClusterState::insert_waiting(int node, Gid g, const TaskRuntime& tasks) {
-  Node& n = node_mut(node);
-  const auto key = std::make_pair(tasks.rt(g).planned_start, g);
-  auto it = std::lower_bound(
-      n.waiting.begin(), n.waiting.end(), key,
-      [&tasks](Gid a, const std::pair<SimTime, Gid>& k) {
-        return std::make_pair(tasks.rt(a).planned_start, a) < k;
-      });
-  n.waiting.insert(it, g);
+  node_mut(node).waiting.insert(tasks.rt(g).planned_start, g);
+  if (tasks.ready(g)) insert_ready(node, g, tasks);
 }
 
-void ClusterState::remove_waiting(int node, Gid g) {
+void ClusterState::remove_waiting(int node, Gid g, const TaskRuntime& tasks) {
   Node& n = node_mut(node);
-  auto it = std::find(n.waiting.begin(), n.waiting.end(), g);
-  assert(it != n.waiting.end());
-  n.waiting.erase(it);
+  const SimTime start = tasks.rt(g).planned_start;
+  n.waiting.erase(start, g);
+  if (tasks.ready(g)) n.ready.erase(start, g);
+}
+
+void ClusterState::insert_ready(int node, Gid g, const TaskRuntime& tasks) {
+  node_mut(node).ready.insert(tasks.rt(g).planned_start, g,
+                              tasks.task_info(g).demand);
 }
 
 }  // namespace dsp

@@ -2,11 +2,11 @@
 //
 // One of the four layers of the simulation kernel (see DESIGN.md §16).
 // ClusterState owns per-node slot/resource occupancy, the planned-start
-// ordered waiting queues, the running/hoarding occupant lists and the
-// liveness/straggler factors. It is mutable only through the kernel: the
-// Engine orchestrator (a friend) drives every transition, while policies
-// see it exclusively through const accessors re-exported by the Engine
-// read API.
+// ordered waiting queues and their ready indexes, the running/hoarding
+// occupant lists and the liveness/straggler factors. It is mutable only
+// through the kernel: the Engine orchestrator (a friend) drives every
+// transition, while policies see it exclusively through const accessors
+// re-exported by the Engine read API.
 #pragma once
 
 #include <cassert>
@@ -15,8 +15,10 @@
 
 #include "dag/task.h"
 #include "sim/cluster.h"
+#include "sim/ready_queue.h"
 #include "sim/task_runtime.h"
 #include "sim/types.h"
+#include "sim/waiting_queue.h"
 
 namespace dsp {
 
@@ -27,7 +29,12 @@ class Engine;
 class ClusterState {
  public:
   struct Node {
-    std::vector<Gid> waiting;  // sorted by (planned_start, gid)
+    WaitingQueue waiting;
+    // The ready tasks of `waiting` (TaskRuntime::ready), in the same
+    // order: what a dependency-aware dispatcher can launch. Readiness
+    // only ever turns on, so a task enters when it is queued ready or
+    // when it becomes ready while queued, and leaves with `waiting`.
+    ReadyQueue ready;
     std::vector<Gid> running;  // running and hoarding occupants
     Resources available;
     int free_slots = 0;
@@ -63,10 +70,15 @@ class ClusterState {
     return nodes_[static_cast<std::size_t>(k)];
   }
   /// Inserts `g` into `node`'s waiting queue at its (planned_start, gid)
-  /// position. The caller maintains waiting clocks and priority dirtying.
+  /// position, and into the ready index too when `g` is ready. The caller
+  /// maintains waiting clocks and priority dirtying.
   void insert_waiting(int node, Gid g, const TaskRuntime& tasks);
-  /// Removes `g` from `node`'s waiting queue (must be present).
-  void remove_waiting(int node, Gid g);
+  /// Removes `g` from `node`'s waiting queue and ready index (it must be
+  /// queued there).
+  void remove_waiting(int node, Gid g, const TaskRuntime& tasks);
+  /// Adds queued task `g`, which just became ready, to `node`'s ready
+  /// index.
+  void insert_ready(int node, Gid g, const TaskRuntime& tasks);
 
   const ClusterSpec* spec_ = nullptr;
   std::vector<Node> nodes_;

@@ -177,10 +177,7 @@ class Engine {
   TaskState state(Gid g) const { return tasks_.rt(g).state; }
   /// True when every precedent task has finished and every predecessor
   /// *job* (cross-job dependency) has completed.
-  bool is_ready(Gid g) const {
-    return tasks_.rt(g).unfinished_parents == 0 &&
-           tasks_.job_rt(tasks_.job_of(g)).pred_jobs_remaining == 0;
-  }
+  bool is_ready(Gid g) const { return tasks_.ready(g); }
   /// True when a previous launch/preempt-in attempt failed the input
   /// check and the task has not become ready since. Dependency-blind
   /// policies skip blocked tasks instead of re-attempting them every
@@ -222,8 +219,16 @@ class Engine {
 
   /// Waiting queue of `node` in ascending planned-start order
   /// (includes suspended tasks awaiting resume).
-  const std::vector<Gid>& waiting(int node) const {
+  const WaitingQueue& waiting(int node) const {
     return nodes_.node(node).waiting;
+  }
+  /// The ready tasks of waiting(node) (is_ready), in the same order: the
+  /// only ones a dependency-aware dispatcher can launch. Kept as an index
+  /// beside the queue, so a backlog of unready tasks costs a dispatch
+  /// nothing, and searched for fitting tasks chunk by chunk
+  /// (ReadyQueue::for_each_fitting).
+  const ReadyQueue& ready_waiting(int node) const {
+    return nodes_.node(node).ready;
   }
   /// Copies `node`'s waiting queue into `out` (cleared first). Policies
   /// that mutate the queue while iterating (try_preempt requeues the
@@ -398,6 +403,9 @@ class Engine {
   /// Suspends running task `g`; applies the checkpoint mode.
   void suspend_task(int node, Gid g);
   void complete_job(JobId j);
+  /// Adds `g` to its node's ready index if it is queued and now ready;
+  /// called where a readiness count of a possibly queued task reaches 0.
+  void mark_ready(Gid g);
   bool all_jobs_finished() const { return finished_jobs_ == jobs_.size(); }
 
   ClusterSpec cluster_;

@@ -104,6 +104,14 @@ class TaskRuntime {
     launch_blocked_[g] = 1;
   }
 
+  /// True when every precedent task has finished and every predecessor
+  /// job has completed. Both counts only fall during a run (job
+  /// dependencies are declared before it), so a ready task stays ready.
+  bool ready(Gid g) const {
+    return rt(g).unfinished_parents == 0 &&
+           job_rt(job_of(g)).pred_jobs_remaining == 0;
+  }
+
   // ---- Per-job records -----------------------------------------------
   JobRt& job_rt(JobId j) {
     assert(j < job_rt_.size());

@@ -19,6 +19,7 @@
 #include "sim/failures.h"
 #include "test_util.h"
 #include "trace/workload.h"
+#include "util/rng.h"
 
 namespace dsp {
 namespace {
@@ -48,13 +49,29 @@ EngineParams fast_params() {
 /// exercises the all-clean path, and requires exact equality across all
 /// of them. Exact, because a job's lines depend on its state only, never
 /// on when they were rebuilt.
+///
+/// With a nonzero `skip_seed`, the probe skips both refreshes for seeded
+/// random runs of 1-5 epochs, as DspPreemption skips the priority pass at
+/// epochs without a victim; the incremental refresh that ends a run
+/// catches up across every event of the skipped epochs and must still
+/// match the from-scratch reference bit for bit.
 class DualProbe : public PreemptionPolicy {
  public:
-  explicit DualProbe(const DspParams& params)
-      : reference_(params), incremental_(params) {}
+  explicit DualProbe(const DspParams& params, std::uint64_t skip_seed = 0)
+      : reference_(params),
+        incremental_(params),
+        skip_(skip_seed),
+        skip_seed_(skip_seed) {}
   const char* name() const override { return "DualProbe"; }
 
   void on_epoch(Engine& engine) override {
+    if (skip_left_ > 0) {
+      --skip_left_;
+      ++skipped;
+      return;
+    }
+    if (skip_seed_ != 0 && skip_.chance(0.5))
+      skip_left_ = static_cast<int>(skip_.uniform_int(1, 5));
     reference_.invalidate();  // force the full-recompute reference path
     const auto r0 = reference_.compute_all(engine);
     const auto r1 = incremental_.compute_all(engine);
@@ -75,7 +92,8 @@ class DualProbe : public PreemptionPolicy {
       ++skip_path_mismatches;
   }
 
-  int epochs = 0;
+  int epochs = 0;   // compared epochs
+  int skipped = 0;  // epochs without a refresh
   int incremental_mismatches = 0;
   int range_mismatches = 0;
   int skip_path_mismatches = 0;
@@ -89,6 +107,9 @@ class DualProbe : public PreemptionPolicy {
 
   DependencyPriority reference_;
   DependencyPriority incremental_;
+  Rng skip_;
+  std::uint64_t skip_seed_ = 0;
+  int skip_left_ = 0;
 };
 
 TEST(DeterminismTest, IncrementalMatchesFullRecomputeBitwise) {
@@ -119,6 +140,39 @@ TEST(DeterminismTest, IncrementalMatchesFullRecomputeUnderNodeEvents) {
   engine.set_failure_plan(plan);
   engine.run();
   ASSERT_GT(probe.epochs, 10);
+  EXPECT_EQ(probe.incremental_mismatches, 0);
+  EXPECT_EQ(probe.range_mismatches, 0);
+  EXPECT_EQ(probe.skip_path_mismatches, 0);
+}
+
+TEST(DeterminismTest, CatchUpAfterSkippedRefreshesMatchesFullRecompute) {
+  const JobSet jobs = WorkloadGenerator(contended_config(10), 311).generate();
+  DspScheduler sched;
+  DspParams params;
+  DualProbe probe(params, /*skip_seed=*/331);
+  Engine engine(ClusterSpec::ec2(4), jobs, sched, &probe, fast_params());
+  const RunMetrics m = engine.run();
+  EXPECT_EQ(m.tasks_finished, total_tasks(jobs));
+  ASSERT_GT(probe.epochs, 10);
+  ASSERT_GT(probe.skipped, probe.epochs / 2);
+  EXPECT_EQ(probe.incremental_mismatches, 0);
+  EXPECT_EQ(probe.range_mismatches, 0);
+  EXPECT_EQ(probe.skip_path_mismatches, 0);
+}
+
+TEST(DeterminismTest, CatchUpAfterSkippedRefreshesUnderNodeEvents) {
+  const JobSet jobs = WorkloadGenerator(contended_config(8), 313).generate();
+  DspScheduler sched;
+  DspParams params;
+  DualProbe probe(params, /*skip_seed=*/337);
+  const ClusterSpec cluster = ClusterSpec::ec2(4);
+  Engine engine(cluster, jobs, sched, &probe, fast_params());
+  FailurePlan plan = FailurePlan::random_outages(cluster, 4 * kHour, 0.5, 2.0, 317);
+  plan.add_slowdown(0, 10 * kSecond, 2 * kMinute, 0.5);
+  engine.set_failure_plan(plan);
+  engine.run();
+  ASSERT_GT(probe.epochs, 10);
+  ASSERT_GT(probe.skipped, probe.epochs / 2);
   EXPECT_EQ(probe.incremental_mismatches, 0);
   EXPECT_EQ(probe.range_mismatches, 0);
   EXPECT_EQ(probe.skip_path_mismatches, 0);
