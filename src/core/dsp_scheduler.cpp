@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <queue>
 #include <tuple>
 
@@ -71,15 +71,26 @@ std::vector<TaskPlacement> DspScheduler::schedule(
   }
   if (engine.event_log() != nullptr) {
     // Flight recorder: one kJobPlanned per scheduled job, with the number
-    // of its tasks this round actually placed in the `a` payload.
-    std::map<JobId, double> placed;
-    for (const TaskPlacement& p : placements) ++placed[engine.job_of(p.task)];
-    for (JobId j : jobs) {
-      const auto it = placed.find(j);
-      engine.emit_event({.kind = obs::EventKind::kJobPlanned,
-                         .job = j,
-                         .a = it == placed.end() ? 0.0 : it->second});
+    // of its tasks this round actually placed in the `a` payload. Counters
+    // are aligned with `jobs`; a placement finds its job's position by a
+    // binary search over the positions sorted by job id.
+    std::vector<std::size_t> by_id(jobs.size());
+    std::iota(by_id.begin(), by_id.end(), std::size_t{0});
+    std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
+      return jobs[a] < jobs[b];
+    });
+    std::vector<double> placed(jobs.size(), 0.0);
+    for (const TaskPlacement& p : placements) {
+      const JobId j = engine.job_of(p.task);
+      const auto it = std::lower_bound(
+          by_id.begin(), by_id.end(), j,
+          [&](std::size_t pos, JobId id) { return jobs[pos] < id; });
+      if (it != by_id.end() && jobs[*it] == j) ++placed[*it];
     }
+    for (std::size_t pos = 0; pos < jobs.size(); ++pos)
+      engine.emit_event({.kind = obs::EventKind::kJobPlanned,
+                         .job = jobs[pos],
+                         .a = placed[pos]});
   }
   return placements;
 }
@@ -87,29 +98,55 @@ std::vector<TaskPlacement> DspScheduler::schedule(
 std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
     const std::vector<JobId>& jobs, Engine& engine) const {
   const std::size_t n_nodes = engine.node_count();
-  const SimTime now = engine.now();
+  const double now_s = to_seconds(engine.now());
 
-  // Per-node virtual slot availability, seeded with the node's current
-  // backlog spread across its slots (an estimate of when already-assigned
-  // work drains).
-  std::vector<std::vector<double>> slot_free(n_nodes);
+  // The round's node table. Rates, capacities and now() are fixed for the
+  // whole round, so they are read once here. Each node's virtual slots are
+  // seeded with its current backlog spread across them (an estimate of
+  // when already-assigned work drains); `min_free`/`min_slot` cache the
+  // node's first minimal slot (std::min_element's pick) and are refreshed
+  // only for the node that takes a placement. Nodes of equal rate share a
+  // rate class, so a task divides its size once per distinct rate.
+  struct NodeRow {
+    Resources capacity;
+    double min_free = 0.0;
+    std::size_t min_slot = 0;  // offset into slot_free
+    std::size_t first_slot = 0;
+    std::size_t slots = 0;
+    std::size_t rate_class = 0;
+  };
+  std::vector<NodeRow> table(n_nodes);
+  std::vector<double> slot_free;
+  std::vector<double> class_rate;
   for (std::size_t k = 0; k < n_nodes; ++k) {
-    const int slots = engine.cluster().node(k).slots;
+    const NodeSpec& spec = engine.cluster().node(k);
+    const double rate = engine.node_rate(static_cast<int>(k));
+    NodeRow& row = table[k];
+    row.capacity = spec.capacity;
+    row.rate_class = static_cast<std::size_t>(
+        std::find(class_rate.begin(), class_rate.end(), rate) -
+        class_rate.begin());
+    if (row.rate_class == class_rate.size()) class_rate.push_back(rate);
     const double backlog_s = engine.node_backlog_mi(static_cast<int>(k)) /
-                             engine.node_rate(static_cast<int>(k)) /
-                             std::max(1, slots);
-    slot_free[k].assign(static_cast<std::size_t>(slots),
-                        to_seconds(now) + backlog_s);
+                             rate / std::max(1, spec.slots);
+    row.first_slot = slot_free.size();
+    row.slots = static_cast<std::size_t>(spec.slots);
+    row.min_free = now_s + backlog_s;
+    row.min_slot = row.first_slot;
+    slot_free.resize(slot_free.size() + row.slots, row.min_free);
   }
+  std::vector<double> class_exec(class_rate.size());
+  const double remote_read_bw = engine.params().remote_read_bw_mbps;
 
   // Rank = (downstream weight desc, deadline asc, gid asc). Tasks become
   // eligible once all parents are placed; their start estimate then
   // respects the parents' estimated finishes (dependency awareness both in
-  // ordering and in timing).
+  // ordering and in timing). `pos` is the task's job's index in `jobs`.
   struct Item {
     double weight;
     SimTime deadline;
     Gid gid;
+    std::uint32_t pos;
   };
   struct ItemLess {
     bool operator()(const Item& a, const Item& b) const {
@@ -120,94 +157,99 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
   };
   std::priority_queue<Item, std::vector<Item>, ItemLess> ready;
 
-  // Per-task bookkeeping (local maps keyed by gid ranges of pending jobs).
-  std::vector<TaskPlacement> placements;
-  std::size_t total_tasks = 0;
-  for (JobId j : jobs) total_tasks += engine.job(j).task_count();
-  placements.reserve(total_tasks);
-
   struct TaskAux {
     double finish_est = 0.0;
     std::uint32_t unplaced_parents = 0;
     double weight = 0.0;
   };
-  // Map job -> base offset into a flat aux array (gids of one job are
-  // contiguous, so job base + task index addresses aux densely).
-  std::vector<TaskAux> aux(total_tasks);
-  std::vector<std::pair<JobId, std::size_t>> job_base;
-  {
-    std::size_t base = 0;
-    for (JobId j : jobs) {
-      job_base.emplace_back(j, base);
-      base += engine.job(j).task_count();
-    }
+  // Flat aux array: gids of one job are contiguous, so the job's base
+  // offset (by its position in `jobs`) plus the task index addresses it.
+  std::vector<std::size_t> job_base(jobs.size());
+  std::size_t total_tasks = 0;
+  for (std::size_t pos = 0; pos < jobs.size(); ++pos) {
+    job_base[pos] = total_tasks;
+    total_tasks += engine.job(jobs[pos]).task_count();
   }
-  auto base_of = [&](JobId j) {
-    for (const auto& [job, base] : job_base)
-      if (job == j) return base;
-    assert(false && "job not in pending set");
-    return std::size_t{0};
-  };
+  std::vector<TaskAux> aux(total_tasks);
+  std::vector<TaskPlacement> placements;
+  placements.reserve(total_tasks);
 
-  for (JobId j : jobs) {
+  for (std::size_t pos = 0; pos < jobs.size(); ++pos) {
+    const JobId j = jobs[pos];
     const Job& job = engine.job(j);
     const auto weights = dependency_weights(job, options_.gamma);
-    const std::size_t base = base_of(j);
+    const std::size_t base = job_base[pos];
     for (TaskIndex t = 0; t < job.task_count(); ++t) {
       aux[base + t].unplaced_parents =
           static_cast<std::uint32_t>(job.graph().parents(t).size());
       aux[base + t].weight = weights[t];
       if (aux[base + t].unplaced_parents == 0)
-        ready.push({weights[t], job.task(t).deadline, engine.gid(j, t)});
+        ready.push({weights[t], job.task(t).deadline, engine.gid(j, t),
+                    static_cast<std::uint32_t>(pos)});
     }
   }
 
   while (!ready.empty()) {
     const Item item = ready.top();
     ready.pop();
-    const JobId j = engine.job_of(item.gid);
+    const JobId j = jobs[item.pos];
     const TaskIndex t = engine.index_of(item.gid);
     const Job& job = engine.job(j);
-    const std::size_t base = base_of(j);
+    const std::size_t base = job_base[item.pos];
     const Task& task = job.task(t);
 
     // Earliest start from dependency estimates.
-    double dep_ready_s = to_seconds(now);
+    double dep_ready_s = now_s;
     for (TaskIndex p : job.graph().parents(t))
       dep_ready_s = std::max(dep_ready_s, aux[base + p].finish_est);
 
-    // Pick the node minimizing estimated finish time.
-    int best_node = -1;
-    std::size_t best_slot = 0;
+    // Execution time per rate class, and the remote-fetch seconds added on
+    // nodes that do not hold the task's input (Engine::transfer_time).
+    for (std::size_t c = 0; c < class_rate.size(); ++c)
+      class_exec[c] = task.size_mi / class_rate[c];
+    const bool transfer = options_.locality_aware && !task.input_nodes.empty();
+    const double remote_s =
+        transfer ? to_seconds(from_seconds(task.input_mb / remote_read_bw))
+                 : 0.0;
+
+    // Pick the node minimizing estimated finish time; the lowest index
+    // wins a tie.
+    std::size_t best_node = n_nodes;
     double best_eft = 0.0, best_est = 0.0;
     for (std::size_t k = 0; k < n_nodes; ++k) {
-      if (!engine.cluster().node(k).capacity.fits(task.demand)) continue;
-      const auto min_it =
-          std::min_element(slot_free[k].begin(), slot_free[k].end());
-      const double est = std::max(dep_ready_s, *min_it);
-      double eft = est + task.size_mi / engine.node_rate(static_cast<int>(k));
-      if (options_.locality_aware)
-        eft += to_seconds(engine.transfer_time(item.gid, static_cast<int>(k)));
-      if (best_node < 0 || eft < best_eft) {
-        best_node = static_cast<int>(k);
-        best_slot = static_cast<std::size_t>(min_it - slot_free[k].begin());
+      const NodeRow& row = table[k];
+      if (!row.capacity.fits(task.demand)) continue;
+      const double est = std::max(dep_ready_s, row.min_free);
+      double eft = est + class_exec[row.rate_class];
+      if (transfer && !task.input_local_to(static_cast<int>(k))) eft += remote_s;
+      if (best_node == n_nodes || eft < best_eft) {
+        best_node = k;
         best_eft = eft;
         best_est = est;
       }
     }
-    if (best_node < 0) {
+    if (best_node == n_nodes) {
       DSP_ERROR("task %u fits no node; skipping placement", item.gid);
       continue;
     }
-    slot_free[static_cast<std::size_t>(best_node)][best_slot] = best_eft;
+    NodeRow& best = table[best_node];
+    slot_free[best.min_slot] = best_eft;
+    const auto node_begin =
+        slot_free.begin() + static_cast<std::ptrdiff_t>(best.first_slot);
+    const auto min_it = std::min_element(
+        node_begin, node_begin + static_cast<std::ptrdiff_t>(best.slots));
+    best.min_free = *min_it;
+    best.min_slot = static_cast<std::size_t>(min_it - slot_free.begin());
     aux[base + t].finish_est = best_eft;
-    placements.push_back(TaskPlacement{item.gid, best_node, from_seconds(best_est)});
+    placements.push_back(TaskPlacement{item.gid, static_cast<int>(best_node),
+                                       from_seconds(best_est)});
 
     for (TaskIndex c : job.graph().children(t)) {
       TaskAux& ca = aux[base + c];
       assert(ca.unplaced_parents > 0);
       if (--ca.unplaced_parents == 0)
-        ready.push({ca.weight, job.task(c).deadline, engine.gid(j, c)});
+        ready.push({ca.weight, job.task(c).deadline, engine.gid(j, c),
+                    item.pos});
     }
   }
   return placements;

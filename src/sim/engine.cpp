@@ -538,7 +538,9 @@ void Engine::apply_placements(const std::vector<TaskPlacement>& placements,
   // Mark expected tasks.
   for (JobId j : pending) tasks_.job_rt(j).scheduled = true;
 
-  std::vector<std::uint8_t> placed(tasks_.task_count(), 0);
+  // A task leaves kUnscheduled on its first enqueue, so the state test
+  // rejects a second placement of the same task, and the fallback pass
+  // below sees exactly the tasks no placement was applied to.
   for (const auto& p : placements) {
     if (p.task >= tasks_.task_count() || p.node < 0 ||
         static_cast<std::size_t>(p.node) >= cluster_.size()) {
@@ -546,7 +548,7 @@ void Engine::apply_placements(const std::vector<TaskPlacement>& placements,
                 scheduler_.name(), p.task, p.node);
       continue;
     }
-    if (tasks_.rt(p.task).state != TaskState::kUnscheduled || placed[p.task]) {
+    if (tasks_.rt(p.task).state != TaskState::kUnscheduled) {
       DSP_ERROR("scheduler %s placed task %u twice", scheduler_.name(), p.task);
       continue;
     }
@@ -561,27 +563,39 @@ void Engine::apply_placements(const std::vector<TaskPlacement>& placements,
                 p.task, p.node);
       continue;  // fallback pass places it on a live node
     }
-    placed[p.task] = 1;
     tasks_.rt(p.task).node = p.node;
     tasks_.rt(p.task).planned_start = p.planned_start;
     enqueue_waiting(p.node, p.task);
   }
 
   // Fallback: any unplaced task of a pending job goes to the least-loaded
-  // node that can hold it. Keeps runs comparable even when a scheduler
-  // mis-places (logged above).
+  // live node that can hold it (lowest index on a tie). Keeps runs
+  // comparable even when a scheduler mis-places (logged above). Liveness
+  // and capacities are fixed for the call; backlogs grow as tasks land.
+  struct LiveNode {
+    int node;
+    const Resources* capacity;
+  };
+  std::vector<LiveNode> live;
+  bool live_built = false;
   for (JobId j : pending) {
     for (TaskIndex t = 0; t < jobs_[j].task_count(); ++t) {
       const Gid g = gid(j, t);
-      if (placed[g] || tasks_.rt(g).state != TaskState::kUnscheduled) continue;
+      if (tasks_.rt(g).state != TaskState::kUnscheduled) continue;
+      if (!live_built) {
+        for (std::size_t k = 0; k < cluster_.size(); ++k)
+          if (nodes_.node(static_cast<int>(k)).up)
+            live.push_back({static_cast<int>(k), &cluster_.node(k).capacity});
+        live_built = true;
+      }
+      const Resources& demand = task_info(g).demand;
       int best = -1;
       double best_backlog = 0.0;
-      for (std::size_t k = 0; k < cluster_.size(); ++k) {
-        if (!nodes_.node(static_cast<int>(k)).up) continue;
-        if (!cluster_.node(k).capacity.fits(task_info(g).demand)) continue;
-        const double backlog = nodes_.node(static_cast<int>(k)).backlog_mi;
+      for (const LiveNode& n : live) {
+        if (!n.capacity->fits(demand)) continue;
+        const double backlog = nodes_.node(n.node).backlog_mi;
         if (best < 0 || backlog < best_backlog) {
-          best = static_cast<int>(k);
+          best = n.node;
           best_backlog = backlog;
         }
       }
