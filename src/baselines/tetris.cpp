@@ -23,14 +23,10 @@ std::vector<TaskPlacement> TetrisScheduler::schedule(
   std::vector<TaskPlacement> placements;
   const std::size_t n_nodes = engine.node_count();
 
-  // Local backlog estimate (MI) seeded from live state, and the node
-  // capacities, which are fixed for the call.
+  // Local backlog estimate (MI) seeded from live state.
   std::vector<double> backlog(n_nodes);
-  std::vector<Resources> capacity(n_nodes);
-  for (std::size_t k = 0; k < n_nodes; ++k) {
+  for (std::size_t k = 0; k < n_nodes; ++k)
     backlog[k] = engine.node_backlog_mi(static_cast<int>(k));
-    capacity[k] = engine.cluster().node(k).capacity;
-  }
 
   SimTime seq = 0;
   for (JobId j : jobs) {
@@ -49,7 +45,7 @@ std::vector<TaskPlacement> TetrisScheduler::schedule(
       const Task& task = job.task(t);
       int best = -1;
       for (std::size_t k = 0; k < n_nodes; ++k) {
-        if (!capacity[k].fits(task.demand)) continue;
+        if (!engine.cluster().node(k).capacity.fits(task.demand)) continue;
         if (best < 0 || backlog[k] < backlog[static_cast<std::size_t>(best)])
           best = static_cast<int>(k);
       }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
+#include <map>
 #include <queue>
 #include <tuple>
 
@@ -71,26 +71,15 @@ std::vector<TaskPlacement> DspScheduler::schedule(
   }
   if (engine.event_log() != nullptr) {
     // Flight recorder: one kJobPlanned per scheduled job, with the number
-    // of its tasks this round actually placed in the `a` payload. Counters
-    // are aligned with `jobs`; a placement finds its job's position by a
-    // binary search over the positions sorted by job id.
-    std::vector<std::size_t> by_id(jobs.size());
-    std::iota(by_id.begin(), by_id.end(), std::size_t{0});
-    std::sort(by_id.begin(), by_id.end(), [&](std::size_t a, std::size_t b) {
-      return jobs[a] < jobs[b];
-    });
-    std::vector<double> placed(jobs.size(), 0.0);
-    for (const TaskPlacement& p : placements) {
-      const JobId j = engine.job_of(p.task);
-      const auto it = std::lower_bound(
-          by_id.begin(), by_id.end(), j,
-          [&](std::size_t pos, JobId id) { return jobs[pos] < id; });
-      if (it != by_id.end() && jobs[*it] == j) ++placed[*it];
-    }
-    for (std::size_t pos = 0; pos < jobs.size(); ++pos)
+    // of its tasks this round actually placed in the `a` payload.
+    std::map<JobId, double> placed;
+    for (const TaskPlacement& p : placements) ++placed[engine.job_of(p.task)];
+    for (JobId j : jobs) {
+      const auto it = placed.find(j);
       engine.emit_event({.kind = obs::EventKind::kJobPlanned,
-                         .job = jobs[pos],
-                         .a = placed[pos]});
+                         .job = j,
+                         .a = it == placed.end() ? 0.0 : it->second});
+    }
   }
   return placements;
 }
@@ -105,28 +94,23 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
   // seeded with its current backlog spread across them (an estimate of
   // when already-assigned work drains); `min_free`/`min_slot` cache the
   // node's first minimal slot (std::min_element's pick) and are refreshed
-  // only for the node that takes a placement. Nodes of equal rate share a
-  // rate class, so a task divides its size once per distinct rate.
+  // only for the node that takes a placement.
   struct NodeRow {
     Resources capacity;
+    double rate = 0.0;
     double min_free = 0.0;
     std::size_t min_slot = 0;  // offset into slot_free
     std::size_t first_slot = 0;
     std::size_t slots = 0;
-    std::size_t rate_class = 0;
   };
   std::vector<NodeRow> table(n_nodes);
   std::vector<double> slot_free;
-  std::vector<double> class_rate;
   for (std::size_t k = 0; k < n_nodes; ++k) {
     const NodeSpec& spec = engine.cluster().node(k);
     const double rate = engine.node_rate(static_cast<int>(k));
     NodeRow& row = table[k];
     row.capacity = spec.capacity;
-    row.rate_class = static_cast<std::size_t>(
-        std::find(class_rate.begin(), class_rate.end(), rate) -
-        class_rate.begin());
-    if (row.rate_class == class_rate.size()) class_rate.push_back(rate);
+    row.rate = rate;
     const double backlog_s = engine.node_backlog_mi(static_cast<int>(k)) /
                              rate / std::max(1, spec.slots);
     row.first_slot = slot_free.size();
@@ -135,7 +119,6 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
     row.min_slot = row.first_slot;
     slot_free.resize(slot_free.size() + row.slots, row.min_free);
   }
-  std::vector<double> class_exec(class_rate.size());
   const double remote_read_bw = engine.params().remote_read_bw_mbps;
 
   // Rank = (downstream weight desc, deadline asc, gid asc). Tasks become
@@ -203,10 +186,8 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
     for (TaskIndex p : job.graph().parents(t))
       dep_ready_s = std::max(dep_ready_s, aux[base + p].finish_est);
 
-    // Execution time per rate class, and the remote-fetch seconds added on
-    // nodes that do not hold the task's input (Engine::transfer_time).
-    for (std::size_t c = 0; c < class_rate.size(); ++c)
-      class_exec[c] = task.size_mi / class_rate[c];
+    // The remote-fetch seconds added on nodes that do not hold the task's
+    // input (Engine::transfer_time).
     const bool transfer = options_.locality_aware && !task.input_nodes.empty();
     const double remote_s =
         transfer ? to_seconds(from_seconds(task.input_mb / remote_read_bw))
@@ -220,7 +201,7 @@ std::vector<TaskPlacement> DspScheduler::schedule_heuristic(
       const NodeRow& row = table[k];
       if (!row.capacity.fits(task.demand)) continue;
       const double est = std::max(dep_ready_s, row.min_free);
-      double eft = est + class_exec[row.rate_class];
+      double eft = est + task.size_mi / row.rate;
       if (transfer && !task.input_local_to(static_cast<int>(k))) eft += remote_s;
       if (best_node == n_nodes || eft < best_eft) {
         best_node = k;

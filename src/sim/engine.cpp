@@ -569,33 +569,20 @@ void Engine::apply_placements(const std::vector<TaskPlacement>& placements,
   }
 
   // Fallback: any unplaced task of a pending job goes to the least-loaded
-  // live node that can hold it (lowest index on a tie). Keeps runs
-  // comparable even when a scheduler mis-places (logged above). Liveness
-  // and capacities are fixed for the call; backlogs grow as tasks land.
-  struct LiveNode {
-    int node;
-    const Resources* capacity;
-  };
-  std::vector<LiveNode> live;
-  bool live_built = false;
+  // node that can hold it. Keeps runs comparable even when a scheduler
+  // mis-places (logged above).
   for (JobId j : pending) {
     for (TaskIndex t = 0; t < jobs_[j].task_count(); ++t) {
       const Gid g = gid(j, t);
       if (tasks_.rt(g).state != TaskState::kUnscheduled) continue;
-      if (!live_built) {
-        for (std::size_t k = 0; k < cluster_.size(); ++k)
-          if (nodes_.node(static_cast<int>(k)).up)
-            live.push_back({static_cast<int>(k), &cluster_.node(k).capacity});
-        live_built = true;
-      }
-      const Resources& demand = task_info(g).demand;
       int best = -1;
       double best_backlog = 0.0;
-      for (const LiveNode& n : live) {
-        if (!n.capacity->fits(demand)) continue;
-        const double backlog = nodes_.node(n.node).backlog_mi;
+      for (std::size_t k = 0; k < cluster_.size(); ++k) {
+        if (!nodes_.node(static_cast<int>(k)).up) continue;
+        if (!cluster_.node(k).capacity.fits(task_info(g).demand)) continue;
+        const double backlog = nodes_.node(static_cast<int>(k)).backlog_mi;
         if (best < 0 || backlog < best_backlog) {
-          best = n.node;
+          best = static_cast<int>(k);
           best_backlog = backlog;
         }
       }

@@ -10,13 +10,12 @@ For every job count N, each build runs
 
     dsp_sweep --cluster <c> --scale 0.1 --seeds 42 --threads 1 --jobs N
 
---reps times (default 3), the two builds alternating run by run so that
-host load drifts hit both alike. The host wall time of each process is
-recorded. Each build becomes one entry of the file's "entries" list with,
-per job count, the minimum, the median and the individual runs, plus the
-growth exponent: the least-squares slope of log(median) on log(jobs) over
-the points with at least --fit-min-jobs jobs. With --dry-run the entries
-are printed instead of appended. The script only measures; it gates
+three times, the two builds alternating run by run so that host load
+drifts hit both alike. The host wall time of each process is recorded.
+Each build becomes one entry of the file's "entries" list with, per job
+count, the minimum, the median and the individual runs, plus the growth
+exponent: the least-squares slope of log(median) on log(jobs) over the
+points with at least 2500 jobs. The script only measures; it gates
 nothing.
 """
 
@@ -30,9 +29,11 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_OUT = os.path.join(ROOT, "bench", "BENCH_e2e.json")
+OUT = os.path.join(ROOT, "bench", "BENCH_e2e.json")
 SCALE = "0.1"
 SEED = "42"
+REPS = 3
+FIT_MIN_JOBS = 2500
 
 
 def sweep_args(binary, cluster, jobs):
@@ -52,8 +53,8 @@ def time_run(binary, cluster, jobs):
     return round(elapsed, 3)
 
 
-def growth_exponent(points, fit_min_jobs):
-    fit = [p for p in points if p["jobs"] >= fit_min_jobs]
+def growth_exponent(points):
+    fit = [p for p in points if p["jobs"] >= FIT_MIN_JOBS]
     if len(fit) < 2:
         return None
     xs = [math.log(p["jobs"]) for p in fit]
@@ -66,7 +67,7 @@ def growth_exponent(points, fit_min_jobs):
     return round(sxy / sxx, 3)
 
 
-def entry(label, cluster, runs_by_jobs, fit_min_jobs):
+def entry(label, cluster, runs_by_jobs):
     points = []
     for jobs in sorted(runs_by_jobs):
         runs = runs_by_jobs[jobs]
@@ -76,8 +77,7 @@ def entry(label, cluster, runs_by_jobs, fit_min_jobs):
     return {"label": label, "cluster": cluster,
             "command": " ".join(sweep_args("dsp_sweep", cluster, "N")),
             "points": points,
-            "growth_exponent": growth_exponent(points, fit_min_jobs),
-            "fit_min_jobs": fit_min_jobs}
+            "growth_exponent": growth_exponent(points)}
 
 
 def main():
@@ -89,37 +89,27 @@ def main():
     parser.add_argument("--cluster", required=True, choices=("ec2", "real"))
     parser.add_argument("--jobs", required=True,
                         help="comma-separated job counts")
-    parser.add_argument("--reps", type=int, default=3)
-    parser.add_argument("--fit-min-jobs", type=int, default=0,
-                        help="smallest job count in the growth fit")
-    parser.add_argument("--out", default=DEFAULT_OUT)
-    parser.add_argument("--dry-run", action="store_true")
     args = parser.parse_args()
 
     job_counts = [int(j) for j in args.jobs.split(",")]
-    if args.reps < 1 or any(j <= 0 for j in job_counts):
-        sys.exit("bench_e2e: --reps and every job count must be positive")
+    if any(j <= 0 for j in job_counts):
+        sys.exit("bench_e2e: every job count must be positive")
     builds = [("before", args.before), ("after", args.after)]
     runs = {name: {j: [] for j in job_counts} for name, _ in builds}
     for jobs in job_counts:
-        for rep in range(args.reps):
+        for rep in range(REPS):
             for name, binary in builds:
                 runs[name][jobs].append(time_run(binary, args.cluster, jobs))
             print("%s %d jobs rep %d: before %.3f s, after %.3f s" %
                   (args.cluster, jobs, rep + 1, runs["before"][jobs][-1],
                    runs["after"][jobs][-1]), flush=True)
 
-    entries = [entry(args.before_label, args.cluster, runs["before"],
-                     args.fit_min_jobs),
-               entry(args.after_label, args.cluster, runs["after"],
-                     args.fit_min_jobs)]
-    if args.dry_run:
-        print(json.dumps(entries, indent=1))
-        return
-    with open(args.out) as f:
+    with open(OUT) as f:
         bench = json.load(f)
-    bench["entries"].extend(entries)
-    with open(args.out, "w") as f:
+    bench["entries"].extend([
+        entry(args.before_label, args.cluster, runs["before"]),
+        entry(args.after_label, args.cluster, runs["after"])])
+    with open(OUT, "w") as f:
         json.dump(bench, f, indent=1)
         f.write("\n")
 
